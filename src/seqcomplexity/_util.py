@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["sig12", "fmt12"]
+__all__ = ["sig12", "fmt12", "dot_escape"]
 
 
 def sig12(x: float) -> float:
@@ -11,9 +11,13 @@ def sig12(x: float) -> float:
 
 
 def fmt12(x) -> str:
-    """Format a value for CSV: floats at 12 significant digits, rest as str."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return f"{x:.12g}"
+    """Format a value for CSV: floats at 12 significant digits, None as an
+    empty cell, anything else as str."""
+    if x is None:
+        return ""
+    return f"{x:.12g}" if isinstance(x, float) else str(x)
+
+
+def dot_escape(text: str) -> str:
+    """Escape backslashes and double quotes for a DOT label."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')

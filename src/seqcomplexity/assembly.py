@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._util import dot_escape
+
 __all__ = [
     "JoinStep",
     "AssemblyPathway",
@@ -341,10 +343,6 @@ def assembly_index_split(s: str):
     return upper, pathway
 
 
-def _dot_escape(text):
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def assembly_tree_dot(p: AssemblyPathway) -> str:
     """Render a pathway as a DOT digraph.
 
@@ -361,9 +359,9 @@ def assembly_tree_dot(p: AssemblyPathway) -> str:
     lines = ["digraph assembly {"]
     basis_node = {b: f"b{k}" for k, b in enumerate(used_basis)}
     for b in used_basis:
-        lines.append(f'  {basis_node[b]} [label="{_dot_escape(b)}" shape=circle];')
+        lines.append(f'  {basis_node[b]} [label="{dot_escape(b)}" shape=circle];')
     for i, st in enumerate(p.steps):
-        lines.append(f'  s{i} [label="{_dot_escape(st.result)}" shape=box];')
+        lines.append(f'  s{i} [label="{dot_escape(st.result)}" shape=box];')
     for i, st in enumerate(p.steps):
         for ref, tag in ((st.left, "L"), (st.right, "R")):
             src = basis_node[ref] if isinstance(ref, str) else f"s{ref}"

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import coding
 from ._util import sig12
 
 __all__ = [
@@ -170,17 +171,11 @@ def ctm_enumerate(states: int, symbols: int, step_bound: int) -> CtmTable:
     )
 
 
-def _surrogate_bits(block: str) -> float:
-    n = len(block)
-    h = -sum((c / n) * math.log2(c / n) for c in Counter(block).values())
-    return n * h + 1.0
-
-
 def _lookup(table, key, block, policy):
     if key in table.entries:
         return table.entries[key]
     if policy == "entropy_surrogate":
-        return _surrogate_bits(block)
+        return len(block) * coding.shannon_entropy(block) + 1.0
     raise KeyError(f"block {block!r} absent from CTM table")
 
 

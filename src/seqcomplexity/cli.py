@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import random
 import sys
 from dataclasses import dataclass
@@ -33,10 +34,11 @@ from .ingest import (
     write_results,
 )
 from ._util import fmt12
+from .measures import MEASURES
 
 __all__ = ["main", "entrypoint", "RunConfig", "MeasureResult", "MEASURE_NAMES", "ALPHABET16"]
 
-MEASURE_NAMES = ("entropy", "huffman", "rle", "lzw", "ma_exact", "ma_split", "bdm1d", "bdm2d")
+MEASURE_NAMES = tuple(MEASURES)
 ALPHABET16 = "ABCDEFGHIJKLMNOP"
 
 
@@ -65,15 +67,20 @@ class RunConfig:
     ctm_table_1d: "bdm_mod.CtmTable | None" = None
     ctm_table_2d: "bdm_mod.CtmTable | None" = None
     binarize_threshold: float | None = None
-    block_size: int = 2
-    block_shape: tuple[int, int] = (2, 2)
-    overlap: int = 0
-    boundary: str = "ignore"
-    missing_block_policy: str = "error"
+    bdm_params: "bdm_mod.BdmParams | None" = None  # set only when a BDM measure is requested
     exact_guard: int = DEFAULT_EXACT_GUARD
-    rng_seed: int = 42
-    ci_level: float = 0.99
-    bdm_notes: str = ""
+
+
+def _binary_matrix(record, config):
+    """The record's matrix as 0/1 ints, binarized first if a threshold is given."""
+    arr = np.asarray(record.payload)
+    if config.binarize_threshold is not None:
+        arr = binarize_matrix(arr, config.binarize_threshold)
+    if not set(arr.flat) <= {0, 1}:
+        raise UsageError(
+            f"record {record.id!r}: matrix has non-binary entries; pass --threshold"
+        )
+    return arr.astype(int)
 
 
 def _payload_string(record, config):
@@ -81,109 +88,46 @@ def _payload_string(record, config):
     given) and flattened row-major to digit characters."""
     if record.payload_kind == "string":
         return record.payload, "string"
-    arr = record.payload
-    if config.binarize_threshold is not None:
-        arr = binarize_matrix(arr, config.binarize_threshold)
-    values = set(np.asarray(arr).flat)
-    if not values <= {0, 1, 0.0, 1.0}:
-        raise UsageError(
-            f"record {record.id!r}: matrix has non-binary entries; pass --threshold"
-        )
-    flat = "".join(str(int(v)) for v in np.asarray(arr).flat)
-    return flat, "matrix_flat"
+    return "".join(str(v) for v in _binary_matrix(record, config).flat), "matrix_flat"
 
 
-def _binary_matrix(record, config):
-    arr = record.payload
-    if config.binarize_threshold is not None:
-        arr = binarize_matrix(arr, config.binarize_threshold)
-    values = set(np.asarray(arr).flat)
-    if not values <= {0, 1, 0.0, 1.0}:
-        raise UsageError(
-            f"record {record.id!r}: matrix has non-binary entries; pass --threshold"
-        )
-    return np.asarray(arr).astype(int)
+def _ctm_table(config, dim):
+    return {1: config.ctm_table_1d, 2: config.ctm_table_2d}.get(dim)
 
 
 def compute_measure(record, measure, config: RunConfig) -> MeasureResult:
-    """Measure one record; inapplicable combinations yield an empty value."""
-    if measure in ("entropy", "huffman", "rle", "lzw", "ma_exact", "ma_split", "bdm1d"):
-        s, source = _payload_string(record, config)
-        if measure == "entropy":
-            return MeasureResult(measure, coding.shannon_entropy(s), f"bits_per_symbol;input={source}")
-        if measure == "huffman":
-            res = coding.huffman(s)
-            return MeasureResult(measure, res.total_bits, f"total_bits;levels={res.tree_levels};input={source}")
-        if measure == "rle":
-            _, length = coding.rle_encode(s)
-            return MeasureResult(measure, length, f"encoded_chars;input={source}")
-        if measure == "lzw":
-            res = coding.lzw_encode(s)
-            return MeasureResult(measure, res.bit_length, f"fixed_width_bits;dict={res.dict_size_final};input={source}")
-        if measure == "ma_exact":
-            if len(s) > config.exact_guard:
-                raise UsageError(
-                    f"record {record.id!r}: length {len(s)} exceeds exact guard "
-                    f"{config.exact_guard}; use ma_split or raise --exact-guard"
-                )
-            idx, _ = assembly_index_exact(s, limit=config.exact_guard)
-            return MeasureResult(measure, idx, f"exact;input={source}")
-        if measure == "ma_split":
-            ub, _ = assembly_index_split(s)
-            return MeasureResult(measure, ub, f"upper_bound;input={source}")
-        # bdm1d: strings go through their UTF-8 bit expansion so any
-        # payload alphabet maps onto a binary table
-        table = config.ctm_table_1d
-        if table is None:
-            raise UsageError("bdm1d requires --ctm-table or --toy-ctm")
-        bits = s if source == "matrix_flat" else text_to_bits(s)
-        params = bdm_mod.BdmParams(
-            block_size=config.block_size,
-            overlap=config.overlap,
-            boundary=config.boundary,
-            missing_block_policy=config.missing_block_policy,
-            pad_symbol="0" if config.boundary == "pad" else None,
-        )
-        value = bdm_mod.bdm_1d(bits, table, params)
-        meta = (
-            f"block={config.block_size};overlap={config.overlap};boundary={config.boundary}"
-            f";input={'matrix_flat' if source == 'matrix_flat' else 'utf8_bits'}{config.bdm_notes}"
-        )
-        return MeasureResult(measure, value, meta)
-
-    if measure == "bdm2d":
+    """Measure one record with ``MEASURES[measure]``; inapplicable
+    combinations yield an empty value."""
+    entry = MEASURES[measure]
+    if entry.matrix_only:
         if record.payload_kind != "matrix":
             return MeasureResult(measure, None, "not applicable: string payload")
-        table = config.ctm_table_2d
-        if table is None:
-            raise UsageError("bdm2d requires --ctm-table or --toy-ctm")
-        arr = _binary_matrix(record, config)
-        r, c = config.block_shape
-        params = bdm_mod.BdmParams(
-            block_shape=(r, c),
-            boundary=config.boundary,
-            missing_block_policy=config.missing_block_policy,
-            pad_symbol="0" if config.boundary == "pad" else None,
-        )
-        value = bdm_mod.bdm_2d(arr, table, params)
-        meta = f"block_shape={r}x{c};boundary={config.boundary}{config.bdm_notes}"
-        return MeasureResult(measure, value, meta)
-
-    raise UsageError(f"unknown measure {measure!r}")
+        x, suffix = _binary_matrix(record, config), ""
+    else:
+        x, source = _payload_string(record, config)
+        if entry.bits and source == "string":
+            x, source = text_to_bits(x), "utf8_bits"
+        suffix = f";input={source}"
+    try:
+        value, note = entry.compute(x, _ctm_table(config, entry.ctm_dim), config.bdm_params, config.exact_guard)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"record {record.id!r}, measure {measure!r}: {exc.args[0] if exc.args else exc}") from None
+    if entry.ctm_dim and config.bdm_params.missing_block_policy != "error":
+        suffix += f";missing={config.bdm_params.missing_block_policy}"
+    return MeasureResult(measure, value, note + suffix)
 
 
 def _build_config(args) -> RunConfig:
-    measures = tuple(m.strip() for m in args.measures.split(",")) if getattr(args, "measures", None) else ()
+    measures = tuple(m.strip() for m in args.measures.split(",")) if args.measures else ()
     for m in measures:
-        if m not in MEASURE_NAMES:
+        if m not in MEASURES:
             raise UsageError(f"unknown measure {m!r}; choose from {','.join(MEASURE_NAMES)}")
     table_1d = table_2d = None
-    notes = ""
-    if getattr(args, "toy_ctm", False) and getattr(args, "ctm_table", None):
+    if args.toy_ctm and args.ctm_table:
         raise UsageError("--toy-ctm and --ctm-table are mutually exclusive")
-    if getattr(args, "toy_ctm", False):
+    if args.toy_ctm:
         table_1d, table_2d = bdm_mod.toy_table_1d(), bdm_mod.toy_table_2d()
-    elif getattr(args, "ctm_table", None):
+    elif args.ctm_table:
         try:
             table = bdm_mod.ctm_load(args.ctm_table)
         except OSError as exc:
@@ -194,37 +138,41 @@ def _build_config(args) -> RunConfig:
             table_1d = table
         else:
             table_2d = table
-    needs = {m for m in measures if m in ("bdm1d", "bdm2d")}
-    if "bdm1d" in needs and table_1d is None:
-        raise UsageError("bdm1d requires --ctm-table (1D) or --toy-ctm")
-    if "bdm2d" in needs and table_2d is None:
-        raise UsageError("bdm2d requires --ctm-table (2D) or --toy-ctm")
-    if getattr(args, "missing_block", "error") == "entropy":
-        notes = ";missing=entropy_surrogate"
+    config = RunConfig(
+        measures=measures,
+        ctm_table_1d=table_1d,
+        ctm_table_2d=table_2d,
+        binarize_threshold=args.threshold,
+        exact_guard=args.exact_guard,
+    )
+    for m in measures:
+        dim = MEASURES[m].ctm_dim
+        if dim and _ctm_table(config, dim) is None:
+            raise UsageError(f"{m} requires --ctm-table ({dim}D) or --toy-ctm")
+    if any(MEASURES[m].ctm_dim for m in measures):
+        config.bdm_params = _bdm_params(args)
+    return config
+
+
+def _bdm_params(args) -> "bdm_mod.BdmParams":
     block_shape = (2, 2)
-    if getattr(args, "block_shape", None):
+    if args.block_shape:
         try:
             r, c = args.block_shape.lower().split("x")
             block_shape = (int(r), int(c))
         except ValueError:
             raise UsageError("--block-shape must look like RxC, e.g. 2x2") from None
-    return RunConfig(
-        measures=measures,
-        ctm_table_1d=table_1d,
-        ctm_table_2d=table_2d,
-        binarize_threshold=getattr(args, "threshold", None),
-        block_size=getattr(args, "block", 2),
-        block_shape=block_shape,
-        overlap=getattr(args, "overlap", 0),
-        boundary=getattr(args, "boundary", "ignore"),
-        missing_block_policy=(
-            "entropy_surrogate" if getattr(args, "missing_block", "error") == "entropy" else "error"
-        ),
-        exact_guard=getattr(args, "exact_guard", DEFAULT_EXACT_GUARD),
-        rng_seed=getattr(args, "seed", 42),
-        ci_level=getattr(args, "ci", 0.99),
-        bdm_notes=notes,
-    )
+    try:
+        return bdm_mod.BdmParams(
+            block_size=args.block,
+            block_shape=block_shape,
+            overlap=args.overlap,
+            boundary=args.boundary,
+            missing_block_policy="entropy_surrogate" if args.missing_block == "entropy" else "error",
+            pad_symbol="0" if args.boundary == "pad" else None,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_measure(args) -> int:
@@ -247,14 +195,21 @@ def cmd_measure(args) -> int:
 
 
 def _read_results(path):
+    """Rows of a results CSV, with ``value`` parsed to a float (None if empty)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if set(RESULTS_HEADER) - set(reader.fieldnames or []):
                 raise InputError(f"results file {path} lacks header {','.join(RESULTS_HEADER)}")
-            return list(reader)
+            rows = list(reader)
     except OSError as exc:
         raise InputError(f"cannot read results: {exc}") from None
+    for r in rows:
+        try:
+            r["value"] = float(r["value"]) if r["value"] else None
+        except ValueError:
+            raise InputError(f"results file {path}: row {r['id']!r}: non-numeric value {r['value']!r}") from None
+    return rows
 
 
 def cmd_correlate(args) -> int:
@@ -265,12 +220,14 @@ def cmd_correlate(args) -> int:
             raise UsageError(f"measure {m!r} absent from results file")
     xs_by_id, ys_by_id, order = {}, {}, []
     for r in rows:
-        if r["measure"] == args.x and r["value"]:
+        if r["value"] is None:
+            continue
+        if r["measure"] == args.x:
             if r["id"] not in xs_by_id:
                 order.append(r["id"])
-            xs_by_id[r["id"]] = float(r["value"])
-        if r["measure"] == args.y and r["value"]:
-            ys_by_id[r["id"]] = float(r["value"])
+            xs_by_id[r["id"]] = r["value"]
+        if r["measure"] == args.y:
+            ys_by_id[r["id"]] = r["value"]
     shared = [i for i in order if i in ys_by_id]
     if len(shared) < 3:
         raise UsageError(f"need >= 3 shared ids with both measures, found {len(shared)}")
@@ -278,23 +235,17 @@ def cmd_correlate(args) -> int:
     ys = [ys_by_id[i] for i in shared]
     fn = stats.pearson if args.method == "pearson" else stats.spearman
     rep = fn(xs, ys, ci_level=args.ci)
+    cells = [fmt12(v) for v in (rep.statistic, rep.df, rep.p_one_tail, rep.p_two_tail, rep.ci_low, rep.ci_high)]
+    stat, df, p_one, p_two, ci_low, ci_high = cells
     print(
-        f"{args.method} {args.x} vs {args.y}: n={len(shared)} statistic={fmt12(rep.statistic)} "
-        f"df={fmt12(rep.df) if rep.df is not None else ''} p_one={fmt12(rep.p_one_tail)} "
-        f"p_two={fmt12(rep.p_two_tail)} ci=[{fmt12(rep.ci_low) if rep.ci_low is not None else ''},"
-        f"{fmt12(rep.ci_high) if rep.ci_high is not None else ''}]"
+        f"{args.method} {args.x} vs {args.y}: n={len(shared)} statistic={stat} "
+        f"df={df} p_one={p_one} p_two={p_two} ci=[{ci_low},{ci_high}]"
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "method", "n", "statistic", "df", "p_one_tail", "p_two_tail", "ci_low", "ci_high"])
-            writer.writerow([
-                args.x, args.y, args.method, len(shared), fmt12(rep.statistic),
-                fmt12(rep.df) if rep.df is not None else "",
-                fmt12(rep.p_one_tail), fmt12(rep.p_two_tail),
-                fmt12(rep.ci_low) if rep.ci_low is not None else "",
-                fmt12(rep.ci_high) if rep.ci_high is not None else "",
-            ])
+            writer.writerow([args.x, args.y, args.method, len(shared), *cells])
     return 0
 
 
@@ -306,47 +257,36 @@ def cmd_classify(args) -> int:
     measures, groups = [], []
     values = {}
     for r in rows:
-        if not r["value"]:
+        if r["value"] is None:
             continue
         m, g = r["measure"], r[group_col]
         if m not in measures:
             measures.append(m)
         if g not in groups:
             groups.append(g)
-        values.setdefault((m, g), []).append(float(r["value"]))
+        values.setdefault((m, g), []).append(r["value"])
     if len(groups) < 2:
         raise UsageError(f"need >= 2 groups in column {group_col!r}, found {len(groups)}")
-    groups_sorted = sorted(groups)
     out_rows = []
     header = ["measure", "group_a", "group_b", "test", "n_a", "n_b", "statistic", "df", "p_one_tail", "p_two_tail", "note"]
     for m in measures:
-        for i in range(len(groups_sorted)):
-            for j in range(i + 1, len(groups_sorted)):
-                ga, gb = groups_sorted[i], groups_sorted[j]
-                a = values.get((m, ga), [])
-                b = values.get((m, gb), [])
-                if args.test == "welch_t":
-                    if len(a) < 2 or len(b) < 2:
-                        out_rows.append([m, ga, gb, args.test, len(a), len(b), "", "", "", "", "skipped: group with < 2 members"])
-                        continue
-                    try:
-                        rep = stats.welch_t(a, b)
-                    except ValueError as exc:
-                        out_rows.append([m, ga, gb, args.test, len(a), len(b), "", "", "", "", f"skipped: {exc}"])
-                        continue
-                else:
-                    if not a or not b:
-                        out_rows.append([m, ga, gb, args.test, len(a), len(b), "", "", "", "", "skipped: empty group"])
-                        continue
-                    rep = stats.ks_two_sample(a, b)
-                out_rows.append([
-                    m, ga, gb, args.test, len(a), len(b), fmt12(rep.statistic),
-                    fmt12(rep.df) if rep.df is not None else "",
-                    fmt12(rep.p_one_tail), fmt12(rep.p_two_tail), rep.notes,
-                ])
-    print(",".join(header))
-    for row in out_rows:
-        print(",".join(str(v) for v in row))
+        for ga, gb in itertools.combinations(sorted(groups), 2):
+            a, b = values.get((m, ga), []), values.get((m, gb), [])
+            row = [m, ga, gb, args.test, len(a), len(b)]
+            if args.test == "welch_t" and min(len(a), len(b)) < 2:
+                out_rows.append(row + ["", "", "", "", "skipped: group with < 2 members"])
+            elif not a or not b:
+                out_rows.append(row + ["", "", "", "", "skipped: empty group"])
+            else:
+                try:
+                    rep = (stats.welch_t if args.test == "welch_t" else stats.ks_two_sample)(a, b)
+                except ValueError as exc:
+                    out_rows.append(row + ["", "", "", "", f"skipped: {exc}"])
+                    continue
+                out_rows.append(row + [fmt12(rep.statistic), fmt12(rep.df), fmt12(rep.p_one_tail), fmt12(rep.p_two_tail), rep.notes])
+    stdout = csv.writer(sys.stdout, lineterminator="\n")
+    stdout.writerow(header)
+    stdout.writerows(out_rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

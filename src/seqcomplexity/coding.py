@@ -12,6 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from ._util import dot_escape
+
 __all__ = [
     "SymbolCounts",
     "HuffmanNode",
@@ -192,10 +194,6 @@ def lzw_encode(s: str) -> LzwResult:
     )
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def huffman_tree_dot(result: HuffmanResult) -> str:
     """Render a Huffman merge tree as a DOT digraph.
 
@@ -209,7 +207,7 @@ def huffman_tree_dot(result: HuffmanResult) -> str:
         nid = f"n{counter[0]}"
         counter[0] += 1
         if node.is_leaf:
-            lines.append(f'  {nid} [label="{_dot_escape(node.symbol)}:{node.count}" shape=box];')
+            lines.append(f'  {nid} [label="{dot_escape(node.symbol)}:{node.count}" shape=box];')
         else:
             lines.append(f'  {nid} [label="{node.count}"];')
             left_id = emit(node.left)

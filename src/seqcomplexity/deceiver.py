@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 
 from . import bdm as _bdm
 from . import coding as _coding
-from .assembly import assembly_index_split
+# assembly_index_split is kept importable here: bench/tracing.py wraps it by name
+from .assembly import DEFAULT_EXACT_GUARD, assembly_index_split
 from .ingest import text_to_bits
+from .measures import MEASURES
 
 __all__ = [
     "GeneratorSpec",
@@ -32,6 +34,7 @@ __all__ = [
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 DEFAULT_MEASURES = ("entropy", "huffman", "rle", "lzw", "ma_split")
+_BDM_PARAMS = _bdm.BdmParams(block_size=2)
 
 
 def _to_base(n: int, base: int) -> str:
@@ -193,30 +196,25 @@ class DivergenceReport:
 def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ctm_table=None) -> DivergenceReport:
     """Measure ``s`` and juxtapose the generator description length.
 
-    ``s`` must be exactly the output of ``spec``.  ``bdm1d`` (when
-    requested with a table) is computed over the UTF-8 bit expansion of
-    ``s`` so any table alphabet works.
+    ``measures`` may name any string measure of
+    :data:`seqcomplexity.measures.MEASURES`; ``ma_exact`` is guarded at
+    ``DEFAULT_EXACT_GUARD`` characters.  ``s`` must be exactly the output
+    of ``spec``.  ``bdm1d`` (when requested with a table) is computed over
+    the UTF-8 bit expansion of ``s`` with 2-symbol blocks, so any table
+    alphabet works.
     """
     if generate(spec) != s:
         raise ValueError("payload does not match spec")
     values = {}
     for name in measures:
-        if name == "entropy":
-            values[name] = _coding.shannon_entropy(s)
-        elif name == "huffman":
-            values[name] = float(_coding.huffman(s).total_bits)
-        elif name == "rle":
-            values[name] = float(_coding.rle_encode(s)[1])
-        elif name == "lzw":
-            values[name] = float(_coding.lzw_encode(s).bit_length)
-        elif name == "ma_split":
-            values[name] = float(assembly_index_split(s)[0])
-        elif name == "bdm1d":
-            if ctm_table is None:
-                raise ValueError("bdm1d requested without a CTM table")
-            values[name] = _bdm.bdm_1d(text_to_bits(s), ctm_table)
-        else:
+        entry = MEASURES.get(name)
+        if entry is None or entry.matrix_only:
             raise ValueError(f"unknown measure {name!r}")
+        if entry.ctm_dim and ctm_table is None:
+            raise ValueError(f"{name} requested without a CTM table")
+        x = text_to_bits(s) if entry.bits else s
+        value, _ = entry.compute(x, ctm_table, _BDM_PARAMS, DEFAULT_EXACT_GUARD)
+        values[name] = float(value)
     distinct = len(set(s))
     h = _coding.shannon_entropy(s)
     norm = h / math.log2(distinct) if distinct > 1 else 0.0

@@ -150,13 +150,17 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
             else:
                 raise ValueError(f"row {rid!r}: unknown payload kind {kind!r}")
             ref = row.get("reference_value") or ""
+            try:
+                reference_value = float(ref) if ref else None
+            except ValueError:
+                raise ValueError(f"row {rid!r}: non-numeric reference_value {ref!r}") from None
             records.append(
                 DatasetRecord(
                     id=rid,
                     category=row["category"],
                     payload_kind=kind,
                     payload=payload,
-                    reference_value=float(ref) if ref else None,
+                    reference_value=reference_value,
                 )
             )
     return records
@@ -168,4 +172,4 @@ def write_results(rows, csv_path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         for rid, category, measure, value, metadata in rows:
-            writer.writerow([rid, category, measure, fmt12(value) if value is not None else "", metadata])
+            writer.writerow([rid, category, measure, fmt12(value), metadata])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 
 import pytest
@@ -317,3 +318,130 @@ class TestMeasureDeterminism:
         r1, r2 = _read_csv(out1), _read_csv(out2)
         key = lambda r: (r["id"], r["measure"], r["value"], r["metadata"])
         assert sorted(map(key, r1)) == sorted(map(key, r2))
+
+
+class TestMeasureFailures:
+    def test_block_absent_from_toy_table_exits_2(self, capsys):
+        code = main([
+            "measure", "--input", CORPUS, "--out", os.devnull,
+            "--measures", "bdm1d", "--toy-ctm", "--block", "3",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "record 'rep000', measure 'bdm1d'" in err
+        assert "block '010' absent from CTM table" in err
+
+    def test_symbols_outside_table_alphabet_exit_2(self, tmp_path, capsys):
+        table = tmp_path / "ctm.csv"
+        table.write_text("block,ctm_bits\n0,1.5\n")
+        data = _write_dataset(tmp_path, ["m1,c,string,AB,"])
+        code = main([
+            "measure", "--input", data, "--out", str(tmp_path / "o.csv"),
+            "--measures", "bdm1d", "--ctm-table", str(table),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "record 'm1', measure 'bdm1d'" in err
+        assert "not in table alphabet" in err
+
+    def test_bad_reference_value_exits_1(self, tmp_path, capsys):
+        data = _write_dataset(tmp_path, ["m1,c,string,AB,notanumber"])
+        assert main(["measure", "--input", data, "--out", str(tmp_path / "o.csv"), "--measures", "entropy"]) == 1
+        assert "row 'm1'" in capsys.readouterr().err
+
+
+class TestMalformedResults:
+    @pytest.fixture()
+    def results(self, tmp_path):
+        path = tmp_path / "res.csv"
+        path.write_text(
+            "id,category,measure,value,metadata\n"
+            "m1,a,e,1,\nm2,a,e,oops,\nm3,b,e,2,\nm4,b,e,3,\n",
+            encoding="utf-8",
+        )
+        return str(path)
+
+    def test_correlate_non_numeric_value_exits_1(self, results, capsys):
+        assert main(["correlate", "--input", results, "--x", "e", "--y", "e"]) == 1
+        err = capsys.readouterr().err
+        assert results in err and "row 'm2'" in err and "'oops'" in err
+
+    def test_classify_non_numeric_value_exits_1(self, results, capsys):
+        assert main(["classify", "--input", results]) == 1
+        err = capsys.readouterr().err
+        assert results in err and "row 'm2'" in err and "'oops'" in err
+
+    def test_classify_stdout_quotes_commas(self, tmp_path, capsys):
+        path = tmp_path / "res.csv"
+        path.write_text(
+            "id,category,measure,value,metadata\n"
+            'm1,"x,1",m1,1,\nm2,"x,1",m1,2,\nm3,y,m1,3,\nm4,y,m1,5,\n',
+            encoding="utf-8",
+        )
+        assert main(["classify", "--input", str(path), "--test", "welch_t"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[1][:4] == ["m1", "x,1", "y", "welch_t"]
+        assert len(rows[1]) == len(rows[0])
+
+
+def _sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """SHA-256 digests of the CLI outputs, pinned so that refactors keep
+    every output byte-identical."""
+
+    @pytest.fixture(scope="class")
+    def results(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("golden") / "res.csv")
+        assert main([
+            "measure", "--input", CORPUS, "--out", out,
+            "--measures", "entropy,huffman,rle,lzw,ma_split,bdm1d,bdm2d", "--toy-ctm",
+        ]) == 0
+        return out
+
+    def test_measure(self, results):
+        assert _sha256(results) == "996ad75a727fa949739eb8c82dc8cfb068e550f76a56375d096be849b4c291ff"
+
+    def test_measure_pad_with_entropy_surrogate(self, tmp_path):
+        out = str(tmp_path / "res_pad.csv")
+        assert main([
+            "measure", "--input", CORPUS, "--out", out, "--measures", "bdm1d", "--toy-ctm",
+            "--boundary", "pad", "--missing-block", "entropy", "--block", "3", "--overlap", "1",
+        ]) == 0
+        assert _sha256(out) == "03de8798700376bad0d2f83b087cf86eb3eb6923b8cd5f08275e05f312523996"
+
+    def test_correlate(self, results, tmp_path):
+        out = str(tmp_path / "corr.csv")
+        assert main([
+            "correlate", "--input", results, "--x", "ma_split", "--y", "lzw",
+            "--method", "spearman", "--out", out,
+        ]) == 0
+        assert _sha256(out) == "b1a2062f11b934f75f54fe0cb926327784470d78bb553fc39ae8538add08d240"
+
+    def test_classify(self, results, tmp_path, capsys):
+        out = str(tmp_path / "cls.csv")
+        assert main(["classify", "--input", results, "--test", "welch_t", "--out", out]) == 0
+        assert _sha256(out) == "d1537d5f04b2e28d0173cad7a51499b3c87f48fac28574876f1a03a19ac146d3"
+        stdout = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(stdout).hexdigest() == "909aa3d790b08a7975853cb478583db6eb044789410a575f5ebc0b780e70aee2"
+
+    @pytest.mark.parametrize("flags, digest", [
+        (
+            ["--measures", "entropy,huffman,rle,lzw,ma_exact,ma_split,bdm1d,bdm2d",
+             "--missing-block", "entropy", "--block-shape", "1x2"],
+            "2bbbcdb5bbc2b5d998263914e74b8beacf2db9319bf2df004be1b62dac119212",
+        ),
+        (
+            ["--measures", "bdm1d,bdm2d,entropy", "--boundary", "pad"],
+            "6a8878e1a0c3e9dd6828bd406f8f389c91add448dd3dbc5776f73cc838ec8384",
+        ),
+    ])
+    def test_measure_matrix_payload(self, tmp_path, flags, digest):
+        (tmp_path / "m.csv").write_text("0,7,5,1\n9,0,5,5\n5,4,0,0\n")
+        data = _write_dataset(tmp_path, ["abra,s,string,ABRACADABRA,1.5", "mat,m,matrix,m.csv,"])
+        out = str(tmp_path / "res.csv")
+        assert main(["measure", "--input", data, "--out", out, "--toy-ctm", "--threshold", "3"] + flags) == 0
+        assert _sha256(out) == digest

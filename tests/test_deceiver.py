@@ -149,6 +149,22 @@ class TestDivergenceReport:
         with pytest.raises(ValueError, match="unknown measure"):
             divergence_report(generate(spec), spec, measures=("gzip",))
 
+    def test_matrix_only_measure_rejected(self):
+        spec = GeneratorSpec(kind="modular", seed="AB", period=9, steps=8)
+        with pytest.raises(ValueError, match="unknown measure 'bdm2d'"):
+            divergence_report(generate(spec), spec, measures=("bdm2d",))
+
+    def test_ma_exact_accepted_under_guard(self):
+        spec = GeneratorSpec(kind="modular", seed="AB", period=9, steps=8)
+        s = generate(spec)
+        rep = divergence_report(s, spec, measures=("ma_exact",))
+        assert rep.measures == {"ma_exact": float(assembly_index_exact(s)[0])}
+
+    def test_ma_exact_over_guard_rejected(self):
+        spec = GeneratorSpec(kind="champernowne", base=10, length=40)
+        with pytest.raises(ValueError, match="guard"):
+            divergence_report(generate(spec), spec, measures=("ma_exact",))
+
     def test_split_bound_on_power_of_two_repetitions(self):
         # the log-bound guarantee holds on the doubling-friendly family
         from seqcomplexity.assembly import assembly_index_split

@@ -154,6 +154,11 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match="m1"):
             load_dataset(path)
 
+    def test_bad_reference_value_names_row(self, tmp_path):
+        path = self._write(tmp_path, ["m1,c,string,AB,", "m2,c,string,CD,notanumber"])
+        with pytest.raises(ValueError, match="row 'm2': non-numeric reference_value 'notanumber'"):
+            load_dataset(path)
+
     def test_write_results_format(self, tmp_path):
         out = tmp_path / "res.csv"
         write_results([("m1", "c", "entropy", 1.0 / 3.0, "meta")], out)
