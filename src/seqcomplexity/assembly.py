@@ -9,7 +9,10 @@ the minimum number of join steps needed to build it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from ._util import dot_escape
 
@@ -213,66 +216,81 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     return depth, pathway
 
 
-def _expand(seq, defs):
-    out = []
-    for tok in seq:
-        if isinstance(tok, str):
-            out.append(tok)
-        else:
-            out.append(_expand(defs[tok], defs))
-    return "".join(out)
-
-
 def _longest_repeat(seqs):
     """Longest window (>= 2 tokens) with >= 2 non-overlapping occurrences.
 
-    Returns (window tuple, length) or (None, 0).  Monotone in the window
-    length, so the maximal length is found by bisection; the reported
-    window is the one whose first occurrence is earliest by (seq, pos).
+    Returns ``(window tuple, places)``, where ``places`` lists every
+    ``(seq, pos)`` occurrence of the window in ascending order, or
+    ``(None, [])`` when no window repeats.  Among the longest windows the
+    one whose first occurrence is earliest by (seq, pos) wins.
+
+    The sequences are joined with a fresh sentinel after each one, so no
+    window spans two of them and a window has two non-overlapping
+    occurrences exactly when its last start is at least its length past
+    its first.  The occurrences are grouped by their 2-token window, and
+    each pass splits every group by the token after its window and keeps
+    the groups that still repeat.  Repeating is monotone in the length
+    (a window's prefixes repeat wherever it does), so the groups left by
+    the last pass are every longest repeat.  A pass costs the number of
+    occurrences still grouped, so one call costs O(n * L) for the repeat
+    length L it finds.
     """
-
-    def best_at(length):
-        occ = {}
-        for si, seq in enumerate(seqs):
-            for pos in range(len(seq) - length + 1):
-                w = tuple(seq[pos : pos + length])
-                occ.setdefault(w, []).append((si, pos))
-        winner = None
-        for w, places in occ.items():
-            count, last_seq, last_end = 0, -1, -1
-            for si, pos in places:
-                if si != last_seq or pos >= last_end:
-                    count += 1
-                    last_seq, last_end = si, pos + length
-            if count >= 2 and (winner is None or places[0] < winner[1]):
-                winner = (w, places[0])
-        return winner
-
-    hi = max((len(q) for q in seqs), default=0)
-    if hi < 2 or best_at(2) is None:
-        return None, 0
-    lo = 2  # invariant: feasible at lo, infeasible above hi
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if best_at(mid) is not None:
-            lo = mid
+    joined, starts = [], []
+    for seq in seqs:
+        starts.append(len(joined))
+        joined.extend(seq)
+        joined.append(object())  # equal to no token, unique per sequence
+    by_pair = {}
+    for p, pair in enumerate(zip(joined, joined[1:])):
+        if pair in by_pair:
+            by_pair[pair].append(p)
         else:
-            hi = mid - 1
-    return best_at(lo)[0], lo
+            by_pair[pair] = [p]
+    groups = [g for g in by_pair.values() if g[-1] - g[0] >= 2]
+    if not groups:
+        return None, []
+    length = 2
+    while True:
+        refined = []
+        for group in groups:
+            if len(group) == 2:  # the commonest case, split without a dict
+                a, b = group
+                if b - a > length and joined[a + length] == joined[b + length]:
+                    refined.append(group)
+                continue
+            by_next = {}
+            for p in group:
+                tok = joined[p + length]
+                if tok in by_next:
+                    by_next[tok].append(p)
+                else:
+                    by_next[tok] = [p]
+            for g in by_next.values():
+                if g[-1] - g[0] > length:
+                    refined.append(g)
+        if not refined:
+            break
+        groups = refined
+        length += 1
+    winner = min(groups, key=itemgetter(0))
+    first = winner[0]
+    places = []
+    for p in winner:
+        k = bisect_right(starts, p) - 1
+        places.append((k, p - starts[k]))
+    return tuple(joined[first : first + length]), places
 
 
-def _replace_window(seq, window, ref):
-    L = len(window)
-    out, i = [], 0
-    w = list(window)
-    while i <= len(seq) - L:
-        if seq[i : i + L] == w:
+def _replace_window(seq, positions, length, ref):
+    """Replace the occurrences at sorted ``positions`` greedily left to
+    right, skipping any that overlaps the previous replacement."""
+    out, end = [], 0
+    for pos in positions:
+        if pos >= end:
+            out.extend(seq[end:pos])
             out.append(ref)
-            i += L
-        else:
-            out.append(seq[i])
-            i += 1
-    out.extend(seq[i:])
+            end = pos + length
+    out.extend(seq[end:])
     return out
 
 
@@ -293,8 +311,9 @@ def assembly_index_split(s: str):
         return 0, AssemblyPathway(basis=basis, steps=(), target=s)
 
     seqs = [list(s)]  # seqs[0] is the target; seqs[k] defines object k
+    expansion = [s]  # the string each sequence spells; fixed once created
     while True:
-        window, _ = _longest_repeat(seqs)
+        window, places = _longest_repeat(seqs)
         if window is None:
             break
         w = list(window)
@@ -305,16 +324,16 @@ def assembly_index_split(s: str):
                 break
         if obj is None:
             seqs.append(w)
+            expansion.append("".join(tok if isinstance(tok, str) else expansion[tok] for tok in w))
             obj = len(seqs) - 1
-        for k in range(len(seqs)):
+        for k, group in groupby(places, key=itemgetter(0)):
             if k != obj:
-                seqs[k] = _replace_window(seqs[k], window, obj)
+                seqs[k] = _replace_window(seqs[k], [pos for _, pos in group], len(w), obj)
 
     upper = sum(len(q) - 1 for q in seqs)
 
     # build objects shortest-first (definitions only reference strictly
     # shorter objects), folding each token list left to right
-    expansion = {k: _expand(seqs[k], {i: seqs[i] for i in range(len(seqs))}) for k in range(len(seqs))}
     order = sorted(range(1, len(seqs)), key=lambda k: (len(expansion[k]), expansion[k]))
     order.append(0)
     steps = []

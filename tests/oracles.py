@@ -153,3 +153,46 @@ def shannon_entropy_direct(s):
     for ch in s:
         freqs[ch] = freqs.get(ch, 0) + 1
     return -sum((c / n) * math.log2(c / n) for c in freqs.values())
+
+
+def longest_nonoverlapping_repeat(seqs):
+    """Longest window of >= 2 tokens with two non-overlapping occurrences
+    in ``seqs`` (occurrences in different sequences never overlap).
+
+    Tries every length from the longest down and every window in (seq,
+    pos) order, counting each candidate's maximum number of disjoint
+    occurrences by a left-to-right scan of every sequence.  Returns
+    ``(window tuple, length)`` for the first window found, which at the
+    longest length is the one whose first occurrence is earliest, or
+    ``(None, 0)``.
+    """
+    for length in range(max((len(q) for q in seqs), default=0), 1, -1):
+        for seq in seqs:
+            for pos in range(len(seq) - length + 1):
+                window = list(seq[pos : pos + length])
+                count = 0
+                for other in seqs:
+                    i = 0
+                    while i + length <= len(other):
+                        if list(other[i : i + length]) == window:
+                            count += 1
+                            i += length
+                        else:
+                            i += 1
+                if count >= 2:
+                    return tuple(window), length
+    return None, 0
+
+
+def lz77_phrases(s):
+    """Number of phrases in the greedy LZ77 parse of ``s`` without
+    self-reference: each phrase is the longest prefix of the rest that
+    occurs inside the text already parsed, or one new symbol."""
+    phrases, i = 0, 0
+    while i < len(s):
+        length = 0
+        while i + length < len(s) and s[i : i + length + 1] in s[:i]:
+            length += 1
+        i += max(1, length)
+        phrases += 1
+    return phrases

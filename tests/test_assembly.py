@@ -1,6 +1,11 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import hashlib
+import itertools
+import random
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from seqcomplexity import assembly, cli
 from seqcomplexity.assembly import (
     AssemblyPathway,
     JoinStep,
@@ -13,6 +18,16 @@ from seqcomplexity.assembly import (
 import oracles
 
 SHORT = st.text(alphabet="AB", min_size=1, max_size=9)
+
+
+def _split_digest(strings):
+    """SHA-256 over ``s value steps`` lines of the split heuristic."""
+    h = hashlib.sha256()
+    for s in strings:
+        value, pathway = assembly_index_split(s)
+        steps = ";".join(f"{step.left},{step.right},{step.result}" for step in pathway.steps)
+        h.update(f"{s} {value} {steps}\n".encode())
+    return h.hexdigest()
 
 
 class TestExact:
@@ -146,6 +161,69 @@ class TestSplit:
     def test_equality_on_pure_repetitions_up_to_12(self):
         for n in range(2, 13):
             assert assembly_index_split("A" * n)[0] == assembly_index_exact("A" * n)[0]
+
+    # SHA-256 pins of the split witnesses: any drift in the repeat search
+    # order, its tie-break or the replacement shows here, not only in values
+    def test_witness_digest_ternary_up_to_8(self):
+        strings = ["".join(t) for n in range(1, 9) for t in itertools.product("ABC", repeat=n)]
+        assert len(strings) == 9840
+        assert _split_digest(strings) == (
+            "795cdc63b5c8bde9465b52a1a14f5fa681958f606bf77437f842ed1f1a47055f"
+        )
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (7, "91cf9cf97f8952d626522ae3df9e2042735f0997bbb25eb761596e4e0140d6c1"),
+            (2024, "143fb4352a6b1b089003b76a6fbce80dd472d5b5c204956befe4dd583c04e7e2"),
+        ],
+    )
+    def test_witness_digest_synthetic_corpus(self, seed, digest):
+        payloads = [payload for _, _, payload in cli.synthetic_corpus(seed, 100)]
+        assert _split_digest(payloads) == digest
+
+    @given(
+        st.one_of(
+            st.text(alphabet="ABCD", min_size=1, max_size=300),
+            st.lists(
+                st.sampled_from(["AB", "BA", "ABB", "C", "AAAA"]), min_size=1, max_size=60
+            ).map("".join),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rytter_lz77_lower_bound(self, s):
+        # Rytter (TCS 2003): LZ77 phrases without self-reference <= the
+        # rules of any straight-line program, here joins plus basis symbols
+        assert oracles.lz77_phrases(s) - len(set(s)) <= assembly_index_split(s)[0]
+
+    def test_long_random_string(self):
+        rng = random.Random(3000)
+        s = "".join(rng.choice(cli.ALPHABET16) for _ in range(3000))
+        ub, pathway = assembly_index_split(s)
+        assert verify_pathway(pathway, s)
+        assert pathway.index == ub
+
+
+MIXED_TOKENS = st.one_of(st.sampled_from("ab"), st.integers(1, 2))
+
+
+class TestLongestRepeat:
+    @given(st.lists(st.lists(MIXED_TOKENS, min_size=1, max_size=10), min_size=1, max_size=4))
+    @example([["a", 1, "b", 2]])  # no repeat
+    @example([["a", "a", "a"]])  # only overlapping occurrences
+    @example([["x", "c", "d", "a", "b"], ["a", "b", "c", "d"]])  # tie: earliest first wins
+    @example([[1, "a"], ["b", 1, "a"], [2]])  # occurrences in different sequences
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, seqs):
+        window, places = assembly._longest_repeat(seqs)
+        length = len(window) if window else 0
+        assert (window, length) == oracles.longest_nonoverlapping_repeat(seqs)
+        assert places == [
+            (k, i)
+            for k, q in enumerate(seqs)
+            for i in range(len(q))
+            if tuple(q[i : i + length]) == window
+        ]
 
 
 class TestVerifyPathway:
