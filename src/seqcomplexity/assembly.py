@@ -253,11 +253,6 @@ def _longest_repeat(seqs):
     while True:
         refined = []
         for group in groups:
-            if len(group) == 2:  # the commonest case, split without a dict
-                a, b = group
-                if b - a > length and joined[a + length] == joined[b + length]:
-                    refined.append(group)
-                continue
             by_next = {}
             for p in group:
                 tok = joined[p + length]
