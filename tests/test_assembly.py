@@ -20,11 +20,11 @@ import oracles
 SHORT = st.text(alphabet="AB", min_size=1, max_size=9)
 
 
-def _split_digest(strings):
-    """SHA-256 over ``s value steps`` lines of the split heuristic."""
+def _witness_digest(search, strings):
+    """SHA-256 over ``s value steps`` lines of an assembly search."""
     h = hashlib.sha256()
     for s in strings:
-        value, pathway = assembly_index_split(s)
+        value, pathway = search(s)
         steps = ";".join(f"{step.left},{step.right},{step.result}" for step in pathway.steps)
         h.update(f"{s} {value} {steps}\n".encode())
     return h.hexdigest()
@@ -70,6 +70,15 @@ class TestExact:
         assert [s.result for s in a.steps] == [
             "AB", "AD", "RA", "CAD", "ABRA", "ABRACAD", "ABRACADABRA",
         ]
+
+    def test_witness_digest_binary_up_to_10_ternary_up_to_6(self):
+        # SHA-256 pin of the canonical witnesses, leftmost built cut included
+        strings = ["".join(t) for n in range(1, 11) for t in itertools.product("AB", repeat=n)]
+        strings += ["".join(t) for n in range(1, 7) for t in itertools.product("ABC", repeat=n)]
+        assert len(strings) == 3138
+        assert _witness_digest(assembly_index_exact, strings) == (
+            "1ccaaa9e5f0a6c520c6927972bb7cfa6266f85cc92add77f9a74e43b8d58eb62"
+        )
 
     def test_repeated_symbol_matches_addition_chains(self):
         for n in range(1, 17):
@@ -141,7 +150,10 @@ class TestSplit:
             assembly_index_split("")
 
     def test_single_char(self):
-        assert assembly_index_split("Q")[0] == 0
+        ub, pathway = assembly_index_split("Q")
+        assert ub == 0
+        assert pathway.steps == ()
+        assert verify_pathway(pathway, "Q")
 
     @given(SHORT)
     @settings(max_examples=60, deadline=None)
@@ -167,7 +179,7 @@ class TestSplit:
     def test_witness_digest_ternary_up_to_8(self):
         strings = ["".join(t) for n in range(1, 9) for t in itertools.product("ABC", repeat=n)]
         assert len(strings) == 9840
-        assert _split_digest(strings) == (
+        assert _witness_digest(assembly_index_split, strings) == (
             "795cdc63b5c8bde9465b52a1a14f5fa681958f606bf77437f842ed1f1a47055f"
         )
 
@@ -180,7 +192,7 @@ class TestSplit:
     )
     def test_witness_digest_synthetic_corpus(self, seed, digest):
         payloads = [payload for _, _, payload in cli.synthetic_corpus(seed, 100)]
-        assert _split_digest(payloads) == digest
+        assert _witness_digest(assembly_index_split, payloads) == digest
 
     @given(
         st.one_of(
