@@ -95,10 +95,30 @@ def verify_pathway(p: AssemblyPathway, target: str) -> bool:
         return False
 
 
+def _fold_pathway(s, defs):
+    """Pathway for ``s`` from ``(key, tokens)`` definitions in build order.
+
+    A token is a basis symbol or the key of an earlier definition (no key
+    equals a basis symbol); each definition is joined left to right, and
+    the last one must spell ``s``.  A step refers to a basis symbol by the
+    symbol itself and to a built object by the index of its last step.
+    """
+    steps, built = [], {}  # key -> (reference, text) of a built object
+    for key, tokens in defs:
+        ref, text = built.get(tokens[0], (tokens[0], tokens[0]))
+        for tok in tokens[1:]:
+            right, part = built.get(tok, (tok, tok))
+            text += part
+            steps.append(JoinStep(left=ref, right=right, result=text))
+            ref = len(steps) - 1
+        built[key] = ref, text
+    return AssemblyPathway(basis=frozenset(s), steps=tuple(steps), target=s)
+
+
 def _substring_universe(s):
     """Distinct substrings of ``s`` ordered by (length, lexicographic).
 
-    Returns (ordered list, id map, split table) where splits[i] lists the
+    Returns (ordered list, split table) where splits[i] lists the
     (left_id, right_id) cut pairs of substring i.  Every cut of a substring
     of ``s`` is itself a substring of ``s``, so the table is closed.
     """
@@ -112,22 +132,7 @@ def _substring_universe(s):
     splits = []
     for w in ordered:
         splits.append([(sid[w[:c]], sid[w[c:]]) for c in range(1, len(w))])
-    return ordered, sid, splits
-
-
-def _canonical_steps(chosen, ordered, splits, available, basis_ids, final_step_of):
-    """Replay a chosen id sequence into JoinSteps using the leftmost valid cut."""
-    steps = []
-    for cid in chosen:
-        for u, v in splits[cid]:
-            if available[u] and available[v]:
-                left = ordered[u] if u in basis_ids else final_step_of[u]
-                right = ordered[v] if v in basis_ids else final_step_of[v]
-                steps.append(JoinStep(left=left, right=right, result=ordered[cid]))
-                break
-        final_step_of[cid] = len(steps) - 1
-        available[cid] = True
-    return steps
+    return ordered, splits
 
 
 def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
@@ -150,29 +155,18 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
         raise ValueError(
             f"length {len(s)} exceeds exact-search guard {limit}; use split heuristic"
         )
-    basis = frozenset(s)
     if len(s) == 1:
-        return 0, AssemblyPathway(basis=basis, steps=(), target=s)
+        return 0, _fold_pathway(s, ())
 
     n = len(s)
-    ordered, sid, splits = _substring_universe(s)
-    total = len(ordered)
-    target_id = sid[s]
-    basis_ids = {sid[c] for c in basis}
-    # first candidate id of each length (ids are length-sorted)
+    ordered, splits = _substring_universe(s)
+    target_id = len(ordered) - 1
+    # ids are length-sorted and every length 1..n occurs, so first_of_len
+    # has every length the doubling cut below asks for
+    available = [len(w) == 1 for w in ordered]
     first_of_len = {}
     for k, w in enumerate(ordered):
         first_of_len.setdefault(len(w), k)
-
-    def min_id_for(min_len):
-        for length in range(min_len, n + 1):
-            if length in first_of_len:
-                return first_of_len[length]
-        return total
-
-    available = [False] * total
-    for b in basis_ids:
-        available[b] = True
 
     def joinable(cid):
         for u, v in splits[cid]:
@@ -190,7 +184,7 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
             return False
         # the longest object after this step must still reach n by doubling
         need = (n + (1 << (remaining - 1)) - 1) >> (remaining - 1)
-        lo = max(start, min_id_for(max(2, need)))
+        lo = max(start, first_of_len[max(2, need)])
         for cid in range(lo, target_id):
             if not joinable(cid):
                 continue
@@ -208,12 +202,14 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
             break
         depth += 1
 
-    replay_avail = [False] * total
-    for b in basis_ids:
-        replay_avail[b] = True
-    steps = _canonical_steps(chosen, ordered, splits, replay_avail, basis_ids, {})
-    pathway = AssemblyPathway(basis=basis, steps=tuple(steps), target=s)
-    return depth, pathway
+    # ``available`` now marks the basis and every chosen object, and the
+    # parts of a chosen object are shorter, so chosen before it: each join
+    # uses its leftmost cut whose parts are already built
+    defs = []
+    for cid in chosen:
+        u, v = next((u, v) for u, v in splits[cid] if available[u] and available[v])
+        defs.append((ordered[cid], (ordered[u], ordered[v])))
+    return depth, _fold_pathway(s, defs)
 
 
 def _longest_repeat(seqs):
@@ -301,10 +297,6 @@ def assembly_index_split(s: str):
     """
     if not s:
         raise ValueError("empty input")
-    basis = frozenset(s)
-    if len(s) == 1:
-        return 0, AssemblyPathway(basis=basis, steps=(), target=s)
-
     seqs = [list(s)]  # seqs[0] is the target; seqs[k] defines object k
     expansion = [s]  # the string each sequence spells; fixed once created
     while True:
@@ -328,33 +320,10 @@ def assembly_index_split(s: str):
     upper = sum(len(q) - 1 for q in seqs)
 
     # build objects shortest-first (definitions only reference strictly
-    # shorter objects), folding each token list left to right
+    # shorter objects), the target last
     order = sorted(range(1, len(seqs)), key=lambda k: (len(expansion[k]), expansion[k]))
     order.append(0)
-    steps = []
-    final_step_of = {}
-
-    def ref_of(tok):
-        if isinstance(tok, str):
-            return tok
-        return final_step_of[tok]
-
-    def text_of(tok):
-        if isinstance(tok, str):
-            return tok
-        return expansion[tok]
-
-    for k in order:
-        seq = seqs[k]
-        acc_ref, acc_text = ref_of(seq[0]), text_of(seq[0])
-        for tok in seq[1:]:
-            acc_text = acc_text + text_of(tok)
-            steps.append(JoinStep(left=acc_ref, right=ref_of(tok), result=acc_text))
-            acc_ref = len(steps) - 1
-        final_step_of[k] = acc_ref
-
-    pathway = AssemblyPathway(basis=basis, steps=tuple(steps), target=s)
-    return upper, pathway
+    return upper, _fold_pathway(s, [(k, seqs[k]) for k in order])
 
 
 def assembly_tree_dot(p: AssemblyPathway) -> str:

@@ -136,7 +136,9 @@ def ctm_enumerate(states: int, symbols: int, step_bound: int) -> CtmTable:
     halting-output distribution exactly closed under symbol complement, to
     match the left/right mirror closure that direction reversal already
     provides.  ``ctm(block) = -log2(count/total_halting)``, rounded to 12
-    significant digits.
+    significant digits.  No (2,2) machine halts after ``_MIN_STEP_BOUND``
+    steps, so each is run for at most that many and every ``step_bound``
+    at or above it gives the same table.
     """
     if (states, symbols) != (2, 2):
         raise ValueError(f"unsupported machine class ({states},{symbols}); only (2,2)")
@@ -154,7 +156,7 @@ def ctm_enumerate(states: int, symbols: int, step_bound: int) -> CtmTable:
             cells.append(x % actions_per_cell)
             x //= actions_per_cell
         for blank in (0, 1):
-            out = _run_machine(cells, blank, step_bound)
+            out = _run_machine(cells, blank, _MIN_STEP_BOUND)
             if out is not None:
                 counts[out] += 1
                 total += 1
@@ -179,10 +181,10 @@ def _lookup(table, key, block, policy):
     raise KeyError(f"block {block!r} absent from CTM table")
 
 
-def _aggregate(blocks, table, policy, key_of):
+def _aggregate(blocks, table, policy):
     counts = Counter(blocks)
     return sum(
-        _lookup(table, key_of(b), b if isinstance(b, str) else b[2], policy)
+        _lookup(table, b, b if isinstance(b, str) else b[2], policy)
         + math.log2(mult)
         for b, mult in counts.items()
     )
@@ -214,7 +216,7 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
         i += stride
     if i < len(s) and params.boundary == "pad":
         blocks.append((s[i:] + params.pad_symbol * size)[:size])
-    return _aggregate(blocks, table, params.missing_block_policy, lambda b: b)
+    return _aggregate(blocks, table, params.missing_block_policy)
 
 
 def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
@@ -253,7 +255,7 @@ def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
         for j in range(0, cols - bc + 1, bc):
             flat = "".join(str(int(v)) for v in arr[i : i + br, j : j + bc].flat)
             blocks.append((br, bc, flat))
-    return _aggregate(blocks, table, params.missing_block_policy, lambda b: b)
+    return _aggregate(blocks, table, params.missing_block_policy)
 
 
 def ctm_save(table: CtmTable, path) -> None:

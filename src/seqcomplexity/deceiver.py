@@ -70,10 +70,6 @@ def _gamma_bits(n: int) -> str:
     return "0" * (len(b) - 1) + b
 
 
-def _symbol_bits(text: str) -> str:
-    return "".join(format(b, "08b") for b in text.encode("utf-8"))
-
-
 @dataclass
 class GeneratorSpec:
     """Canonical description of a deceiver generator.
@@ -115,11 +111,11 @@ class GeneratorSpec:
         return (
             "01"
             + _gamma_bits(len(self.seed))
-            + _symbol_bits(self.seed)
+            + text_to_bits(self.seed)
             + _gamma_bits(self.period)
             + _gamma_bits(self.steps)
             + _gamma_bits(len(self.extension_symbols) + 1)
-            + _symbol_bits(ext)
+            + text_to_bits(ext)
         )
 
     def to_json(self) -> str:

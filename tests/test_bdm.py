@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqcomplexity import bdm
 from seqcomplexity.bdm import (
     BdmParams,
     CtmTable,
@@ -62,6 +63,20 @@ class TestCtmEnumerate:
     def test_higher_bound_same_table(self, enumerated):
         # every halting (2,2) machine halts within the busy-beaver bound
         assert ctm_enumerate(2, 2, 60) == enumerated
+
+    def test_huge_bound_same_table(self, enumerated):
+        table = ctm_enumerate(2, 2, 10**9)
+        assert table.entries == enumerated.entries
+        assert table.provenance == "enumerated (2,2), 1000000000-step bound"
+
+    def test_no_machine_halts_after_min_bound(self):
+        # the premise of simulating at most _MIN_STEP_BOUND steps
+        for m in range(10**4):
+            cells = [m // 10**k % 10 for k in range(4)]
+            for blank in (0, 1):
+                assert bdm._run_machine(cells, blank, 200) == bdm._run_machine(
+                    cells, blank, bdm._MIN_STEP_BOUND
+                )
 
     def test_provenance(self, enumerated):
         assert enumerated.provenance == "enumerated (2,2), 30-step bound"
