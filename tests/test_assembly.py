@@ -80,6 +80,16 @@ class TestExact:
             "1ccaaa9e5f0a6c520c6927972bb7cfa6266f85cc92add77f9a74e43b8d58eb62"
         )
 
+    def test_witness_digest_seeded_binary_11_to_13_quaternary_up_to_9(self):
+        # past length 10 the last join is closed from the target's cuts at
+        # most nodes, so pin witnesses there too (digest computed before it)
+        rng = random.Random(2026)
+        strings = ["".join(rng.choice("AB") for _ in range(11 + k % 3)) for k in range(12)]
+        strings += ["".join(rng.choice("ABCD") for _ in range(rng.randint(5, 9))) for _ in range(12)]
+        assert _witness_digest(assembly_index_exact, strings) == (
+            "70dc2e6598ea1a7b39d7bb783be28170af347769aecb4d5f87e664be5784a45f"
+        )
+
     def test_repeated_symbol_matches_addition_chains(self):
         for n in range(1, 17):
             idx, pathway = assembly_index_exact("A" * n)
@@ -121,6 +131,13 @@ class TestExact:
     @settings(max_examples=40, deadline=None)
     def test_against_naive_bfs(self, s):
         assert assembly_index_exact(s)[0] == oracles.naive_assembly_index(s)
+
+    @given(st.text(alphabet="ABC", min_size=1, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_rytter_lz77_bound_and_split_dominance(self, s):
+        # the exact search starts deepening at lz77_phrases(s) - len(set(s))
+        idx = assembly_index_exact(s)[0]
+        assert oracles.lz77_phrases(s) - len(set(s)) <= idx <= assembly_index_split(s)[0]
 
     def test_index_zero_iff_single_char(self):
         assert assembly_index_exact("Z")[0] == 0
