@@ -135,6 +135,22 @@ def _substring_universe(s):
     return ordered, splits
 
 
+def _lz77_phrases(s):
+    """Phrases of the greedy LZ77 parse of ``s`` without self-reference.
+
+    Each phrase is the longest prefix of the unparsed rest that occurs in
+    the parsed part, or one symbol when none does.
+    """
+    phrases = i = 0
+    while i < len(s):
+        j = i + 1
+        while j <= len(s) and s[i:j] in s[:i]:
+            j += 1
+        i = max(j - 1, i + 1)
+        phrases += 1
+    return phrases
+
+
 def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     """Exact assembly index of ``s`` with a witness pathway.
 
@@ -145,6 +161,17 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     parts are strictly shorter than its result.  Branches are cut when the
     longest built object cannot reach ``len(s)`` by doubling in the
     remaining steps.
+
+    Deepening starts at ``max(ceil(log2 n), z - sigma)``: a pathway with
+    ``k`` joins over ``sigma`` symbols is a straight-line program with
+    ``k + sigma`` rules, and the ``z`` phrases of the LZ77 parse without
+    self-reference are at most that many (Rytter, TCS 2003).  For every
+    substring the search keeps the number of its cuts whose two parts are
+    built, and updates only the counts of the substrings using an object
+    when that object is built or dropped.  With two joins left and the
+    target not yet joinable, the next object must complete a cut of the
+    target, so the search takes the first such object instead of trying
+    every candidate.
 
     Returns ``(index, AssemblyPathway)``.  The witness is the
     lexicographically smallest canonically ordered minimal pathway.
@@ -167,36 +194,69 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     first_of_len = {}
     for k, w in enumerate(ordered):
         first_of_len.setdefault(len(w), k)
-
-    def joinable(cid):
-        for u, v in splits[cid]:
+    # cuts[c] counts the cuts of c whose parts are both built; users[x]
+    # lists (c, other part) for every cut of c that has x as a part, once
+    # for a cut (x, x)
+    cuts = [0] * len(ordered)
+    users = [[] for _ in ordered]
+    for c, pairs in enumerate(splits):
+        for u, v in pairs:
             if available[u] and available[v]:
-                return True
-        return False
+                cuts[c] += 1
+            users[u].append((c, v))
+            if v != u:
+                users[v].append((c, u))
+
+    def set_available(x, built):
+        step = 1 if built else -1
+        available[x] = True  # a cut (x, x) finds its other part built
+        for c, other in users[x]:
+            if available[other]:
+                cuts[c] += step
+        available[x] = built
 
     chosen = []
 
     def dfs(start, remaining):
         if remaining == 1:
-            if joinable(target_id):
+            if cuts[target_id]:
                 chosen.append(target_id)
                 return True
             return False
         # the longest object after this step must still reach n by doubling
         need = (n + (1 << (remaining - 1)) - 1) >> (remaining - 1)
         lo = max(start, first_of_len[max(2, need)])
+        if remaining == 2 and not cuts[target_id]:
+            # the last object must complete a cut of the target; ids from lo
+            # on are not built yet, so this is the first one the loop below
+            # would find
+            last = target_id
+            for u, v in splits[target_id]:
+                if available[u]:
+                    x = v  # not built, or the target would be joinable
+                elif available[v] or u == v:
+                    x = u
+                else:
+                    continue
+                if lo <= x < last and cuts[x]:
+                    last = x
+            if last == target_id:
+                return False
+            available[last] = True
+            chosen.extend((last, target_id))
+            return True
         for cid in range(lo, target_id):
-            if not joinable(cid):
+            if not cuts[cid]:
                 continue
-            available[cid] = True
+            set_available(cid, True)
             chosen.append(cid)
             if dfs(cid + 1, remaining - 1):
                 return True
             chosen.pop()
-            available[cid] = False
+            set_available(cid, False)
         return False
 
-    depth = (n - 1).bit_length()
+    depth = max((n - 1).bit_length(), _lz77_phrases(s) - len(set(s)))
     while True:
         if dfs(0, depth):
             break
