@@ -29,7 +29,7 @@ __all__ = [
 DEFAULT_EXACT_GUARD = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JoinStep:
     """One concatenation: ``result == resolve(left) + resolve(right)``.
 
@@ -42,7 +42,7 @@ class JoinStep:
     result: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssemblyPathway:
     """An ordered witness of join steps building ``target`` from ``basis``.
 
@@ -261,6 +261,9 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
         if dfs(0, depth):
             break
         depth += 1
+    # dfs holds itself through its closure; clearing it frees the search
+    # state now rather than at the next full garbage collection
+    del dfs
 
     # ``available`` now marks the basis and every chosen object, and the
     # parts of a chosen object are shorter, so chosen before it: each join
