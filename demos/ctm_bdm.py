@@ -9,8 +9,6 @@ decomposing it into blocks and charging each distinct block its table
 value plus log2 of its multiplicity.
 """
 
-import numpy as np
-
 from seqcomplexity import bdm_1d, bdm_2d, ctm_enumerate, ctm_save, toy_table_1d, toy_table_2d
 
 table = ctm_enumerate(states=2, symbols=2, step_bound=30)
@@ -33,7 +31,7 @@ for s in ("01", "0101", "01010101", "0110"):
     print(f"bdm_1d({s!r}) = {bdm_1d(s, toy):.3f} bits")
 
 # BDM on matrices: a uniform matrix is one block repeated
-zeros = np.zeros((8, 8), dtype=int)
-checker = np.indices((8, 8)).sum(axis=0) % 2
+zeros = [[0] * 8 for _ in range(8)]
+checker = [[(i + j) % 2 for j in range(8)] for i in range(8)]
 print(f"bdm_2d(8x8 zeros)   = {bdm_2d(zeros, toy_table_2d()):.3f} bits")
 print(f"bdm_2d(8x8 checker) = {bdm_2d(checker, toy_table_2d()):.3f} bits")

@@ -14,8 +14,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import coding
 from ._util import sig12
 
@@ -60,8 +58,8 @@ class CtmTable:
             block = key if self.dimension == 1 else key[2]
             if not block:
                 raise ValueError("empty block")
-            if bits <= 0:
-                raise ValueError(f"non-positive ctm_bits for block {block!r}")
+            if not 0 < bits < math.inf:
+                raise ValueError(f"non-positive or non-finite ctm_bits for block {block!r}")
 
     @property
     def alphabet(self) -> frozenset:
@@ -220,7 +218,7 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
 
 
 def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
-    """BDM of a matrix tiled row-major with non-overlapping blocks."""
+    """BDM of a matrix, given as equal-length rows, tiled row-major with non-overlapping blocks."""
     if params is None:
         params = BdmParams(block_shape=(2, 2))
     if table.dimension != 2:
@@ -229,32 +227,34 @@ def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
         raise ValueError("params.block_shape required for 2D decomposition")
     if params.overlap:
         raise ValueError("2D decomposition is non-overlapping")
-    arr = np.asarray(m)
-    if arr.ndim != 2:
+    try:
+        cells = [[str(int(v)) for v in row] for row in m]
+    except TypeError:
+        raise ValueError("input must be a 2D matrix") from None
+    if any(len(row) != len(cells[0]) for row in cells):
         raise ValueError("input must be a 2D matrix")
     br, bc = params.block_shape
-    rows, cols = arr.shape
+    rows, cols = len(cells), len(cells[0]) if cells else 0
     if rows < br or cols < bc:
         raise ValueError(f"matrix smaller than block shape {br}x{bc}")
     alphabet = table.alphabet
-    symbols = {str(int(v)) for v in arr.flat}
-    bad = symbols - alphabet
+    bad = {v for row in cells for v in row} - alphabet
     if bad:
         raise ValueError(f"symbols {sorted(bad)} not in table alphabet")
 
+    # every symbol is now one character, so a row is a string of width cols
+    grid = ["".join(row) for row in cells]
     if params.boundary == "pad":
         if params.pad_symbol not in alphabet:
             raise ValueError("pad symbol not in table alphabet")
-        pr = (br - rows % br) % br
-        pc = (bc - cols % bc) % bc
-        arr = np.pad(arr, ((0, pr), (0, pc)), constant_values=int(params.pad_symbol))
-        rows, cols = arr.shape
+        grid = [row + params.pad_symbol * (-cols % bc) for row in grid]
+        grid += [params.pad_symbol * len(grid[0])] * (-rows % br)
 
-    blocks = []
-    for i in range(0, rows - br + 1, br):
-        for j in range(0, cols - bc + 1, bc):
-            flat = "".join(str(int(v)) for v in arr[i : i + br, j : j + bc].flat)
-            blocks.append((br, bc, flat))
+    blocks = [
+        (br, bc, "".join(row[j : j + bc] for row in grid[i : i + br]))
+        for i in range(0, len(grid) - br + 1, br)
+        for j in range(0, len(grid[0]) - bc + 1, bc)
+    ]
     return _aggregate(blocks, table, params.missing_block_policy)
 
 
@@ -310,9 +310,7 @@ def ctm_load(path) -> CtmTable:
         entries[key] = sig12(bits)
     if not entries:
         raise ValueError("empty table: header only")
-    alphabet = set()
-    for key in entries:
-        alphabet.update(key if dimension == 1 else key[2])
+    alphabet = {ch for key in entries for ch in (key if dimension == 1 else key[2])}
     return CtmTable(
         dimension=dimension,
         alphabet_size=len(alphabet),

@@ -14,8 +14,6 @@ import random
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bdm as bdm_mod
 from . import coding, deceiver, stats
 from .assembly import (
@@ -72,15 +70,15 @@ class RunConfig:
 
 
 def _binary_matrix(record, config):
-    """The record's matrix as 0/1 ints, binarized first if a threshold is given."""
-    arr = np.asarray(record.payload)
+    """The record's matrix as rows of 0/1 ints, binarized first if a threshold is given."""
+    m = record.payload
     if config.binarize_threshold is not None:
-        arr = binarize_matrix(arr, config.binarize_threshold)
-    if not set(arr.flat) <= {0, 1}:
+        m = binarize_matrix(m, config.binarize_threshold)
+    if not {v for row in m for v in row} <= {0, 1}:
         raise UsageError(
             f"record {record.id!r}: matrix has non-binary entries; pass --threshold"
         )
-    return arr.astype(int)
+    return [[int(v) for v in row] for row in m]
 
 
 def _payload_string(record, config):
@@ -88,7 +86,7 @@ def _payload_string(record, config):
     given) and flattened row-major to digit characters."""
     if record.payload_kind == "string":
         return record.payload, "string"
-    return "".join(str(v) for v in _binary_matrix(record, config).flat), "matrix_flat"
+    return "".join(str(v) for row in _binary_matrix(record, config) for v in row), "matrix_flat"
 
 
 def _ctm_table(config, dim):
@@ -234,7 +232,10 @@ def cmd_correlate(args) -> int:
     xs = [xs_by_id[i] for i in shared]
     ys = [ys_by_id[i] for i in shared]
     fn = stats.pearson if args.method == "pearson" else stats.spearman
-    rep = fn(xs, ys, ci_level=args.ci)
+    try:
+        rep = fn(xs, ys, ci_level=args.ci)
+    except ValueError as exc:
+        raise UsageError(f"{args.method} {args.x} vs {args.y}: {exc}") from None
     cells = [fmt12(v) for v in (rep.statistic, rep.df, rep.p_one_tail, rep.p_two_tail, rep.ci_low, rep.ci_high)]
     stat, df, p_one, p_two, ci_low, ci_high = cells
     print(

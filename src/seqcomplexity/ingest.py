@@ -5,10 +5,9 @@ matrix thresholding, and minimal V2000 molfile parsing.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._util import fmt12
 
@@ -34,7 +33,7 @@ class DatasetRecord:
     id: str
     category: str
     payload_kind: str  # "string" or "matrix"
-    payload: "str | np.ndarray"
+    payload: "str | list[list[float]]"  # a matrix is a list of rows
     reference_value: float | None = None
 
 
@@ -43,15 +42,15 @@ def text_to_bits(s: str) -> str:
     return "".join(format(byte, "08b") for byte in s.encode("utf-8"))
 
 
-def binarize_matrix(m, threshold: float) -> np.ndarray:
-    """1 where strictly greater than ``threshold``, else 0; shape preserved."""
-    arr = np.asarray(m)
-    if arr.size == 0:
-        raise ValueError("empty matrix")
-    return (arr > threshold).astype(int)
+def binarize_matrix(m, threshold: float) -> list[list[int]]:
+    """Rows of 1 where strictly greater than ``threshold``, else 0; shape preserved."""
+    out = [[int(v > threshold) for v in row] for row in m]
+    if not any(out) or any(len(row) != len(out[0]) for row in out):
+        raise ValueError("empty or ragged matrix")
+    return out
 
 
-def sdf_distance_matrix(sdf_text: str) -> np.ndarray:
+def sdf_distance_matrix(sdf_text: str) -> list[list[float]]:
     """Pairwise Euclidean distances between the atoms of a V2000 molfile.
 
     Only the header, counts line, and atom coordinates are read; bonds and
@@ -73,22 +72,24 @@ def sdf_distance_matrix(sdf_text: str) -> np.ndarray:
         raise ValueError("line 4: atom count must be positive")
     if len(lines) < 4 + natoms:
         raise ValueError(f"line {len(lines) + 1}: expected {natoms} atom lines")
-    coords = np.empty((natoms, 3))
+    coords = []
     for k in range(natoms):
         lineno = 5 + k
         fields = lines[4 + k].split()
         if len(fields) < 3:
             raise ValueError(f"line {lineno}: expected x y z coordinates")
         try:
-            coords[k] = [float(fields[0]), float(fields[1]), float(fields[2])]
+            coords.append((float(fields[0]), float(fields[1]), float(fields[2])))
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric coordinate") from None
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    return [
+        [math.sqrt((ax - bx) * (ax - bx) + (ay - by) * (ay - by) + (az - bz) * (az - bz)) for bx, by, bz in coords]
+        for ax, ay, az in coords
+    ]
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a headerless comma-separated matrix of reals."""
+def load_matrix_csv(path) -> list[list[float]]:
+    """Read a headerless comma-separated matrix of reals as a list of rows."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -103,13 +104,12 @@ def load_matrix_csv(path) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError(f"{path}: ragged rows")
-    return np.array(rows)
+    return rows
 
 
 def save_matrix_csv(m, path) -> None:
-    arr = np.asarray(m)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in arr:
+        for row in m:
             fh.write(",".join(fmt12(float(v)) if not float(v).is_integer() else str(int(v)) for v in row))
             fh.write("\n")
 

@@ -194,6 +194,25 @@ class TestBdm2d:
         with pytest.raises(ValueError, match="not in table alphabet"):
             bdm_2d(np.full((2, 2), 7), toy_table_2d())
 
+    @pytest.mark.parametrize("m, params", [
+        (np.zeros((4, 4), int), None),
+        (np.ones((2, 2), int), None),
+        (np.zeros((5, 5), int), None),
+        (np.zeros((5, 5), int), BdmParams(block_shape=(2, 2), boundary="pad", pad_symbol="0")),
+        (np.indices((5, 7)).sum(axis=0) % 2, BdmParams(block_shape=(2, 2), boundary="pad", pad_symbol="1")),
+        (
+            np.array([[0, 1, 1, 0, 1], [1, 1, 0, 0, 1], [0, 0, 1, 1, 0]]),
+            BdmParams(block_shape=(1, 2), missing_block_policy="entropy_surrogate"),
+        ),
+    ])
+    def test_list_input_equals_ndarray(self, m, params):
+        assert bdm_2d(m.tolist(), toy_table_2d(), params) == bdm_2d(m, toy_table_2d(), params)
+
+    @pytest.mark.parametrize("m", [[0, 1, 0, 1], [[0, 1], [0]], [[0, 1], [1, 0, 1]]])
+    def test_not_2d_rejected(self, m):
+        with pytest.raises(ValueError, match="input must be a 2D matrix"):
+            bdm_2d(m, toy_table_2d())
+
 
 class TestCtmRoundTrip:
     def test_enumerated_round_trip(self, tmp_path, enumerated):

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from seqcomplexity.cli import main, synthetic_corpus
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CORPUS = os.path.join(DATA_DIR, "synthetic_corpus.csv")
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _write_dataset(tmp_path, rows):
@@ -138,6 +141,21 @@ class TestCorrelate:
         rows = _read_csv(row_path)
         assert rows[0]["method"] == "spearman"
         assert rows[0]["n"] == "4"
+
+    def test_constant_measure_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "res.csv"
+        path.write_text(
+            "id,category,measure,value,metadata\n"
+            "m1,c,flat,2,\nm2,c,flat,2,\nm3,c,flat,2,\nm1,c,e,1,\nm2,c,e,2,\nm3,c,e,3,\n",
+            encoding="utf-8",
+        )
+        assert main(["correlate", "--input", str(path), "--x", "flat", "--y", "e", "--method", "spearman"]) == 2
+        assert "spearman flat vs e: zero variance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ci", ["0", "1", "1.5", "-0.2"])
+    def test_ci_outside_unit_interval_exits_2(self, results, capsys, ci):
+        assert main(["correlate", "--input", results, "--x", "entropy", "--y", "huffman", "--ci", ci]) == 2
+        assert "pearson entropy vs huffman: ci_level outside (0, 1)" in capsys.readouterr().err
 
 
 class TestClassify:
@@ -349,6 +367,17 @@ class TestMeasureFailures:
         assert main(["measure", "--input", data, "--out", str(tmp_path / "o.csv"), "--measures", "entropy"]) == 1
         assert "row 'm1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bits", ["nan", "inf"])
+    def test_non_finite_ctm_bits_exit_1(self, tmp_path, capsys, bits):
+        table = tmp_path / "ctm.csv"
+        table.write_text(f"block,ctm_bits\n0,1.5\n1,{bits}\n")
+        data = _write_dataset(tmp_path, ["m1,c,string,AB,"])
+        out = tmp_path / "o.csv"
+        code = main(["measure", "--input", data, "--out", str(out), "--measures", "bdm1d", "--ctm-table", str(table)])
+        assert code == 1
+        assert "CTM table: non-positive or non-finite ctm_bits for block '1'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMalformedResults:
     @pytest.fixture()
@@ -445,3 +474,32 @@ class TestGoldenOutputs:
         out = str(tmp_path / "res.csv")
         assert main(["measure", "--input", data, "--out", out, "--toy-ctm", "--threshold", "3"] + flags) == 0
         assert _sha256(out) == digest
+
+    def test_matrix_payload_without_numpy(self, tmp_path):
+        """The first matrix-payload case, in a fresh interpreter where any
+        import of numpy fails, gives the same digest and leaves numpy
+        unimported."""
+        (tmp_path / "m.csv").write_text("0,7,5,1\n9,0,5,5\n5,4,0,0\n")
+        data = _write_dataset(tmp_path, ["abra,s,string,ABRACADABRA,1.5", "mat,m,matrix,m.csv,"])
+        out = str(tmp_path / "res.csv")
+        script = (
+            "import sys\n"
+            "class BlockNumpy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'numpy':\n"
+            "            raise ImportError('numpy is blocked')\n"
+            "sys.meta_path.insert(0, BlockNumpy())\n"
+            "from seqcomplexity.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "assert 'numpy' not in sys.modules\n"
+            "sys.exit(code)\n"
+        )
+        argv = [
+            "measure", "--input", data, "--out", out, "--toy-ctm", "--threshold", "3",
+            "--measures", "entropy,huffman,rle,lzw,ma_exact,ma_split,bdm1d,bdm2d",
+            "--missing-block", "entropy", "--block-shape", "1x2",
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert _sha256(out) == "2bbbcdb5bbc2b5d998263914e74b8beacf2db9319bf2df004be1b62dac119212"

@@ -37,25 +37,29 @@ class TestTextToBits:
 class TestBinarize:
     def test_strict_greater(self):
         out = binarize_matrix([[1, 4], [3, 2]], 3)
-        assert out.tolist() == [[0, 1], [0, 0]]
+        assert out == [[0, 1], [0, 0]]
 
     def test_threshold_below_all(self):
         out = binarize_matrix([[0, 1], [2, 3]], -1)
-        assert out.tolist() == [[1, 1], [1, 1]]
+        assert out == [[1, 1], [1, 1]]
 
     def test_threshold_at_max(self):
         m = [[1, 4], [3, 2]]
-        assert binarize_matrix(m, 4).sum() == 0
+        assert binarize_matrix(m, 4) == [[0, 0], [0, 0]]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             binarize_matrix(np.empty((0, 0)), 1)
 
+    def test_ragged_rejected(self):
+        with pytest.raises(ValueError, match="ragged"):
+            binarize_matrix([[1, 2], [3]], 1)
+
     @given(st.floats(min_value=0.01, max_value=0.99))
     def test_idempotent_on_binary(self, t):
         m = binarize_matrix([[0.2, 5.0], [3.0, 0.0]], 1.0)
         again = binarize_matrix(m, t)
-        assert (again == m).all()
+        assert again == m
 
 
 SDF_TWO_ATOMS = """mol
@@ -72,11 +76,11 @@ M  END
 class TestSdf:
     def test_three_four_five(self):
         m = sdf_distance_matrix(SDF_TWO_ATOMS)
-        assert m.tolist() == [[0.0, 5.0], [5.0, 0.0]]
+        assert m == [[0.0, 5.0], [5.0, 0.0]]
 
     def test_single_atom(self):
         text = "m\n\n\n  1  0  0\n    1.0    2.0    3.0 C\nM  END\n"
-        assert sdf_distance_matrix(text).tolist() == [[0.0]]
+        assert sdf_distance_matrix(text) == [[0.0]]
 
     def test_missing_atom_lines(self):
         text = "m\n\n\n  3  0  0\n 0 0 0 C\n 1 1 1 C\n"
@@ -108,12 +112,12 @@ class TestSdf:
             lines.append(f"{x:10.4f}{y:10.4f}{z:10.4f} C")
         m = sdf_distance_matrix("\n".join(lines))
         n = len(coords)
-        assert np.allclose(m, m.T)
-        assert np.allclose(np.diag(m), 0.0)
+        assert np.allclose(m, list(zip(*m)))
+        assert np.allclose([m[i][i] for i in range(n)], 0.0)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    assert m[i, j] <= m[i, k] + m[k, j] + 1e-6
+                    assert m[i][j] <= m[i][k] + m[k][j] + 1e-6
 
 
 class TestDatasetIo:
@@ -147,7 +151,7 @@ class TestDatasetIo:
         (tmp_path / "m.csv").write_text("1,2\n3,4\n")
         path = self._write(tmp_path, ["m1,c,matrix,m.csv,"])
         records = load_dataset(path)
-        assert records[0].payload.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert records[0].payload == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_unreadable_matrix_path(self, tmp_path):
         path = self._write(tmp_path, ["m1,c,matrix,missing.csv,"])
