@@ -179,8 +179,7 @@ def _lookup(table, key, block, policy):
     raise KeyError(f"block {block!r} absent from CTM table")
 
 
-def _aggregate(blocks, table, policy):
-    counts = Counter(blocks)
+def _aggregate(counts, table, policy):
     return sum(
         _lookup(table, b, b if isinstance(b, str) else b[2], policy)
         + math.log2(mult)
@@ -206,15 +205,18 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     if params.boundary == "pad" and params.pad_symbol not in alphabet:
         raise ValueError("pad symbol not in table alphabet")
 
+    # Block k is s[k*stride : k*stride + size], so its j-th symbol is the
+    # k-th symbol of s[j::stride]: zipping those columns counts every block
+    # without slicing it out.  Counter keeps first-occurrence order, so the
+    # sum runs over distinct blocks in the order of the block sequence.
     stride = size - params.overlap
-    blocks = []
-    i = 0
-    while i + size <= len(s):
-        blocks.append(s[i : i + size])
-        i += stride
+    n = (len(s) - size) // stride + 1
+    counts = Counter(zip(*(s[j::stride][:n] for j in range(size))))
+    counts = Counter({"".join(block): c for block, c in counts.items()})
+    i = n * stride
     if i < len(s) and params.boundary == "pad":
-        blocks.append((s[i:] + params.pad_symbol * size)[:size])
-    return _aggregate(blocks, table, params.missing_block_policy)
+        counts[(s[i:] + params.pad_symbol * size)[:size]] += 1
+    return _aggregate(counts, table, params.missing_block_policy)
 
 
 def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
@@ -231,7 +233,7 @@ def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
         cells = [[str(int(v)) for v in row] for row in m]
     except TypeError:
         raise ValueError("input must be a 2D matrix") from None
-    if any(len(row) != len(cells[0]) for row in cells):
+    if any(isinstance(row, str) for row in m) or any(len(row) != len(cells[0]) for row in cells):
         raise ValueError("input must be a 2D matrix")
     br, bc = params.block_shape
     rows, cols = len(cells), len(cells[0]) if cells else 0
@@ -255,7 +257,7 @@ def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
         for i in range(0, len(grid) - br + 1, br)
         for j in range(0, len(grid[0]) - bc + 1, bc)
     ]
-    return _aggregate(blocks, table, params.missing_block_policy)
+    return _aggregate(Counter(blocks), table, params.missing_block_policy)
 
 
 def ctm_save(table: CtmTable, path) -> None:

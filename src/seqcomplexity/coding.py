@@ -11,6 +11,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 from ._util import dot_escape
 
@@ -154,15 +155,7 @@ def rle_encode(s: str) -> tuple[str, int]:
     digits (encode("011") == encode("0" * 112) == "0112"); it is a length
     measure, not a codec.
     """
-    parts = []
-    i = 0
-    while i < len(s):
-        j = i
-        while j < len(s) and s[j] == s[i]:
-            j += 1
-        parts.append(f"{s[i]}{j - i}")
-        i = j
-    encoded = "".join(parts)
+    encoded = "".join(f"{ch}{len(list(run))}" for ch, run in groupby(s))
     return encoded, len(encoded)
 
 

@@ -39,15 +39,19 @@ class DatasetRecord:
 
 def text_to_bits(s: str) -> str:
     """UTF-8 encode ``s`` and spell each byte as 8 bits, MSB first."""
-    return "".join(format(byte, "08b") for byte in s.encode("utf-8"))
+    b = s.encode("utf-8")
+    return format(int.from_bytes(b, "big"), f"0{8 * len(b)}b") if b else ""
 
 
 def binarize_matrix(m, threshold: float) -> list[list[int]]:
     """Rows of 1 where strictly greater than ``threshold``, else 0; shape preserved."""
-    out = [[int(v > threshold) for v in row] for row in m]
-    if not any(out) or any(len(row) != len(out[0]) for row in out):
+    return _rectangular([[int(v > threshold) for v in row] for row in m])
+
+
+def _rectangular(rows):
+    if not any(rows) or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("empty or ragged matrix")
-    return out
+    return rows
 
 
 def sdf_distance_matrix(sdf_text: str) -> list[list[float]]:
@@ -108,8 +112,9 @@ def load_matrix_csv(path) -> list[list[float]]:
 
 
 def save_matrix_csv(m, path) -> None:
+    rows = _rectangular([list(row) for row in m])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in m:
+        for row in rows:
             fh.write(",".join(fmt12(float(v)) if not float(v).is_integer() else str(int(v)) for v in row))
             fh.write("\n")
 

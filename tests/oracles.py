@@ -7,6 +7,7 @@ package implementations it checks.
 from __future__ import annotations
 
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -196,3 +197,37 @@ def lz77_phrases(s):
         i += max(1, length)
         phrases += 1
     return phrases
+
+
+def rle_runs_encode(s):
+    """Run-length code of ``s`` (symbol, then decimal run length), read
+    off the maximal runs that a backreference regex matches."""
+    return "".join(f"{m.group(1)}{len(m.group(0))}" for m in re.finditer(r"(.)\1*", s, re.DOTALL))
+
+
+def utf8_bits_per_byte(s):
+    """UTF-8 bytes of ``s`` spelled one at a time as 8 bits, MSB first."""
+    return "".join(format(byte, "08b") for byte in s.encode("utf-8"))
+
+
+def bdm_1d_sliced(s, entries, size, overlap=0, pad_symbol=None, surrogate=False):
+    """BDM by slicing out every block: windows of ``size`` at stride
+    ``size - overlap``, the leftover padded with ``pad_symbol`` when one is
+    given, then ``ctm + log2(multiplicity)`` summed over distinct blocks in
+    first-occurrence order.  A block missing from ``entries`` costs
+    ``len * H + 1`` when ``surrogate`` is set and raises KeyError otherwise."""
+    stride = size - overlap
+    blocks = [s[i : i + size] for i in range(0, len(s) - size + 1, stride)]
+    rest = len(blocks) * stride
+    if pad_symbol is not None and rest < len(s):
+        blocks.append(s[rest:].ljust(size, pad_symbol))
+    mult = {}
+    for block in blocks:
+        mult[block] = mult.get(block, 0) + 1
+
+    def ctm(block):
+        if block in entries or not surrogate:
+            return entries[block]
+        return len(block) * shannon_entropy_direct(block) + 1.0
+
+    return sum(ctm(block) + math.log2(m) for block, m in mult.items())

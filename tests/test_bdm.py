@@ -1,4 +1,7 @@
 import math
+import random
+import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from seqcomplexity.bdm import (
     toy_table_1d,
     toy_table_2d,
 )
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +167,60 @@ class TestBdm1d:
             assert bdm_1d(s, toy) == pytest.approx(bdm_1d(reordered, toy), abs=1e-9)
 
 
+# every ternary block of 1-4 symbols, with distinct irrational-looking costs
+TERNARY = CtmTable(
+    dimension=1,
+    alphabet_size=3,
+    entries={
+        "".join(block): 1.0 + math.sqrt(i + 2)
+        for i, block in enumerate(b for k in range(1, 5) for b in product("012", repeat=k))
+    },
+)
+# every second block dropped, so missing blocks take the entropy surrogate
+SPARSE = CtmTable(dimension=1, alphabet_size=3, entries=dict(list(TERNARY.entries.items())[::2]))
+SIZE_OVERLAP = [(size, overlap) for size in range(1, 5) for overlap in range(size)]
+
+
+class TestBdm1dSlicedOracle:
+    """bdm_1d counts blocks column by column; the oracle slices out every block."""
+
+    @pytest.mark.parametrize("table", [TERNARY, SPARSE], ids=["full", "sparse"])
+    @pytest.mark.parametrize("size, overlap", SIZE_OVERLAP)
+    @given(s=st.text(alphabet="012", min_size=4, max_size=120), pad=st.sampled_from([None, "0", "2"]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_sliced_blocks(self, table, size, overlap, s, pad):
+        params = BdmParams(
+            block_size=size,
+            overlap=overlap,
+            boundary="pad" if pad else "ignore",
+            pad_symbol=pad,
+            missing_block_policy="entropy_surrogate",
+        )
+        want = oracles.bdm_1d_sliced(s, table.entries, size, overlap, pad, surrogate=True)
+        assert bdm_1d(s, table, params) == want
+
+    @pytest.mark.parametrize("size, overlap", SIZE_OVERLAP)
+    def test_enumerated_table_on_long_bits(self, enumerated, size, overlap):
+        rng = random.Random(size * 10 + overlap)
+        s = "".join(rng.choice("01") for _ in range(5001))
+        params = BdmParams(block_size=size, overlap=overlap, missing_block_policy="entropy_surrogate")
+        want = oracles.bdm_1d_sliced(s, enumerated.entries, size, overlap, surrogate=True)
+        assert bdm_1d(s, enumerated, params) == want
+
+    def test_peak_memory_does_not_grow_with_block_count(self):
+        # 400,000 blocks; a list of the sliced blocks alone takes about 23 MB
+        s = "01" * 400_000
+        toy = toy_table_1d()
+        tracemalloc.start()
+        try:
+            value = bdm_1d(s, toy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == toy.entries["01"] + math.log2(400_000)
+        assert peak < 4_000_000
+
+
 class TestBdm2d:
     def test_all_zeros_4x4(self):
         assert bdm_2d(np.zeros((4, 4), int), toy_table_2d()) == pytest.approx(6.0, abs=1e-12)
@@ -208,7 +267,7 @@ class TestBdm2d:
     def test_list_input_equals_ndarray(self, m, params):
         assert bdm_2d(m.tolist(), toy_table_2d(), params) == bdm_2d(m, toy_table_2d(), params)
 
-    @pytest.mark.parametrize("m", [[0, 1, 0, 1], [[0, 1], [0]], [[0, 1], [1, 0, 1]]])
+    @pytest.mark.parametrize("m", [[0, 1, 0, 1], [[0, 1], [0]], [[0, 1], [1, 0, 1]], ["00", "00"], ["0101", "1010"], "0000"])
     def test_not_2d_rejected(self, m):
         with pytest.raises(ValueError, match="input must be a 2D matrix"):
             bdm_2d(m, toy_table_2d())

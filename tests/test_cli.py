@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,13 +216,13 @@ class TestTree:
     def test_assembly_tree(self, tmp_path):
         out = str(tmp_path / "t.dot")
         assert main(["tree", "--string", "ABRACADABRA", "--method", "assembly", "--out", out]) == 0
-        dot = open(out).read()
+        dot = Path(out).read_text()
         assert dot.count("shape=box") == 7
 
     def test_huffman_tree_depth(self, tmp_path):
         out = str(tmp_path / "t.dot")
         assert main(["tree", "--string", "ABRACADABRA", "--method", "huffman", "--out", out]) == 0
-        dot = open(out).read()
+        dot = Path(out).read_text()
         assert dot.count("shape=box") == 5
         # walk the rendered edges: the deepest leaf sits at edge level 4
         edges = {}
@@ -267,7 +268,7 @@ class TestSmallCommands:
     def test_ctm_gen_complement_rows(self, tmp_path):
         out = str(tmp_path / "ctm.csv")
         assert main(["ctm-gen", "--states", "2", "--symbols", "2", "--step-bound", "30", "--out", out]) == 0
-        rows = {r.split(",")[0]: r.split(",")[1] for r in open(out).read().splitlines()[1:]}
+        rows = {r.split(",")[0]: r.split(",")[1] for r in Path(out).read_text().splitlines()[1:]}
         assert rows["0"] == rows["1"]
 
     def test_ctm_gen_unsupported_exits_2(self, tmp_path):
@@ -278,7 +279,7 @@ class TestSmallCommands:
         src.write_text("1,4\n3,2\n")
         out = str(tmp_path / "b.csv")
         assert main(["binarize", "--input", str(src), "--threshold", "3", "--out", out]) == 0
-        assert open(out).read() == "0,1\n0,0\n"
+        assert Path(out).read_text() == "0,1\n0,0\n"
 
     def test_binarize_missing_input_exits_1(self, tmp_path):
         assert main(["binarize", "--input", str(tmp_path / "no.csv"), "--threshold", "1", "--out", str(tmp_path / "b.csv")]) == 1
@@ -289,12 +290,12 @@ class TestSynthetic:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["synthetic", "--seed", "42", "--size", "200", "--out", p1]) == 0
         assert main(["synthetic", "--seed", "42", "--size", "200", "--out", p2]) == 0
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_matches_bundled_fixture(self, tmp_path):
         regenerated = str(tmp_path / "c.csv")
         main(["synthetic", "--seed", "42", "--size", "200", "--out", regenerated])
-        assert open(regenerated, "rb").read() == open(CORPUS, "rb").read()
+        assert Path(regenerated).read_bytes() == Path(CORPUS).read_bytes()
 
     def test_categories_and_lengths(self):
         rows = synthetic_corpus(42, 200)
@@ -312,7 +313,7 @@ class TestSynthetic:
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["synthetic", "--seed", "42", "--size", "40", "--out", p1])
         main(["synthetic", "--seed", "43", "--size", "40", "--out", p2])
-        assert open(p1).read() != open(p2).read()
+        assert Path(p1).read_text() != Path(p2).read_text()
 
 
 class TestMeasureDeterminism:
@@ -324,7 +325,7 @@ class TestMeasureDeterminism:
         args = ["measure", "--input", data, "--measures", "entropy,huffman,rle,lzw,ma_split"]
         assert main(args + ["--out", p1]) == 0
         assert main(args + ["--out", p2]) == 0
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_record_reorder_reorders_rows(self, tmp_path):
         d1 = _write_dataset(tmp_path, ["m1,c,string,ABAB,", "m2,c,string,BABA,"])

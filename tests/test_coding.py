@@ -138,6 +138,21 @@ class TestRle:
         assert len(encoded) == length
         assert oracles.rle_decode(encoded) == s
 
+    @given(st.lists(st.tuples(st.sampled_from("AB\u00e9\n"), st.integers(1, 150)), max_size=20))
+    def test_round_trip_long_runs(self, runs):
+        s = "".join(sym * k for sym, k in runs)
+        assert oracles.rle_decode(rle_encode(s)[0]) == s
+
+    @given(st.text(alphabet="0123456789", max_size=300))
+    def test_digit_symbols_equal_run_oracle(self, s):
+        want = oracles.rle_runs_encode(s)
+        assert rle_encode(s) == (want, len(want))
+
+    def test_digit_symbols_do_not_decode(self):
+        # a symbol followed by its count can read as one longer count, so
+        # strings over digits are checked against an encoder, not a decoder
+        assert rle_encode("0" + "1" * 11)[0] == rle_encode("0" * 11 + "1")[0] == "01111"
+
 
 class TestLzw:
     def test_single_symbol(self):

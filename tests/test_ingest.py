@@ -12,6 +12,8 @@ from seqcomplexity.ingest import (
     write_results,
 )
 
+import oracles
+
 
 class TestTextToBits:
     def test_ascii_a(self):
@@ -26,6 +28,14 @@ class TestTextToBits:
 
     def test_empty(self):
         assert text_to_bits("") == ""
+
+    @pytest.mark.parametrize("s", ["", "\x00", "\x00\x00A", "A\x00", "\u00e9", "\u65e5\u672c", "\U0001f600\x00"])
+    def test_edge_cases_equal_per_byte_oracle(self, s):
+        assert text_to_bits(s) == oracles.utf8_bits_per_byte(s)
+
+    @given(st.text(max_size=200))
+    def test_equals_per_byte_oracle(self, s):
+        assert text_to_bits(s) == oracles.utf8_bits_per_byte(s)
 
     @given(st.text(max_size=40))
     def test_length_and_alphabet(self, s):
@@ -175,6 +185,13 @@ class TestDatasetIo:
         path = tmp_path / "m.csv"
         save_matrix_csv(m, path)
         assert np.allclose(load_matrix_csv(path), m)
+
+    @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [], [[]]])
+    def test_save_rejects_empty_or_ragged(self, tmp_path, m):
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match="empty or ragged matrix"):
+            save_matrix_csv(m, path)
+        assert not path.exists()
 
     def test_ragged_matrix_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
