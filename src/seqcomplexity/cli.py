@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import bdm as bdm_mod
 from . import coding, deceiver, stats
@@ -23,6 +24,7 @@ from .assembly import (
     assembly_tree_dot,
 )
 from .ingest import (
+    DATASET_HEADER,
     RESULTS_HEADER,
     binarize_matrix,
     load_dataset,
@@ -34,9 +36,8 @@ from .ingest import (
 from ._util import fmt12
 from .measures import MEASURES
 
-__all__ = ["main", "entrypoint", "RunConfig", "MeasureResult", "MEASURE_NAMES", "ALPHABET16"]
+__all__ = ["main", "entrypoint", "RunConfig", "ALPHABET16"]
 
-MEASURE_NAMES = tuple(MEASURES)
 ALPHABET16 = "ABCDEFGHIJKLMNOP"
 
 
@@ -48,13 +49,15 @@ class InputError(Exception):
     """I/O or parse problem: maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class MeasureResult:
-    """One measured value for one record."""
-
-    measure: str
-    value: float | int | None
-    metadata: str = ""
+def _read(what, load, path):
+    """``load(path)``, with a missing, undecodable or malformed file as an
+    InputError naming ``what`` (exit 1)."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise InputError(f"cannot read {what}: {exc}") from None
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise InputError(f"{what}: {exc}") from None
 
 
 @dataclass
@@ -62,8 +65,7 @@ class RunConfig:
     """Resolved options shared by the measurement pipeline."""
 
     measures: tuple[str, ...] = ()
-    ctm_table_1d: "bdm_mod.CtmTable | None" = None
-    ctm_table_2d: "bdm_mod.CtmTable | None" = None
+    ctm_tables: "dict[int, bdm_mod.CtmTable]" = field(default_factory=dict)  # keyed by dimension
     binarize_threshold: float | None = None
     bdm_params: "bdm_mod.BdmParams | None" = None  # set only when a BDM measure is requested
     exact_guard: int = DEFAULT_EXACT_GUARD
@@ -89,17 +91,13 @@ def _payload_string(record, config):
     return "".join(str(v) for row in _binary_matrix(record, config) for v in row), "matrix_flat"
 
 
-def _ctm_table(config, dim):
-    return {1: config.ctm_table_1d, 2: config.ctm_table_2d}.get(dim)
-
-
-def compute_measure(record, measure, config: RunConfig) -> MeasureResult:
-    """Measure one record with ``MEASURES[measure]``; inapplicable
-    combinations yield an empty value."""
+def compute_measure(record, measure, config: RunConfig):
+    """``(value, metadata)`` of one record under ``MEASURES[measure]``;
+    inapplicable combinations yield an empty value."""
     entry = MEASURES[measure]
     if entry.matrix_only:
         if record.payload_kind != "matrix":
-            return MeasureResult(measure, None, "not applicable: string payload")
+            return None, "not applicable: string payload"
         x, suffix = _binary_matrix(record, config), ""
     else:
         x, source = _payload_string(record, config)
@@ -107,45 +105,33 @@ def compute_measure(record, measure, config: RunConfig) -> MeasureResult:
             x, source = text_to_bits(x), "utf8_bits"
         suffix = f";input={source}"
     try:
-        value, note = entry.compute(x, _ctm_table(config, entry.ctm_dim), config.bdm_params, config.exact_guard)
+        value, note = entry.compute(x, config.ctm_tables.get(entry.ctm_dim), config.bdm_params, config.exact_guard)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"record {record.id!r}, measure {measure!r}: {exc.args[0] if exc.args else exc}") from None
     if entry.ctm_dim and config.bdm_params.missing_block_policy != "error":
         suffix += f";missing={config.bdm_params.missing_block_policy}"
-    return MeasureResult(measure, value, note + suffix)
+    return value, note + suffix
 
 
 def _build_config(args) -> RunConfig:
     measures = tuple(m.strip() for m in args.measures.split(",")) if args.measures else ()
     for m in measures:
         if m not in MEASURES:
-            raise UsageError(f"unknown measure {m!r}; choose from {','.join(MEASURE_NAMES)}")
-    table_1d = table_2d = None
+            raise UsageError(f"unknown measure {m!r}; choose from {','.join(MEASURES)}")
     if args.toy_ctm and args.ctm_table:
         raise UsageError("--toy-ctm and --ctm-table are mutually exclusive")
-    if args.toy_ctm:
-        table_1d, table_2d = bdm_mod.toy_table_1d(), bdm_mod.toy_table_2d()
-    elif args.ctm_table:
-        try:
-            table = bdm_mod.ctm_load(args.ctm_table)
-        except OSError as exc:
-            raise InputError(f"cannot read CTM table: {exc}") from None
-        except ValueError as exc:
-            raise InputError(f"CTM table: {exc}") from None
-        if table.dimension == 1:
-            table_1d = table
-        else:
-            table_2d = table
+    tables = (bdm_mod.toy_table_1d(), bdm_mod.toy_table_2d()) if args.toy_ctm else ()
+    if args.ctm_table:
+        tables = (_read("CTM table", bdm_mod.ctm_load, args.ctm_table),)
     config = RunConfig(
         measures=measures,
-        ctm_table_1d=table_1d,
-        ctm_table_2d=table_2d,
+        ctm_tables={t.dimension: t for t in tables},
         binarize_threshold=args.threshold,
         exact_guard=args.exact_guard,
     )
     for m in measures:
         dim = MEASURES[m].ctm_dim
-        if dim and _ctm_table(config, dim) is None:
+        if dim and dim not in config.ctm_tables:
             raise UsageError(f"{m} requires --ctm-table ({dim}D) or --toy-ctm")
     if any(MEASURES[m].ctm_dim for m in measures):
         config.bdm_params = _bdm_params(args)
@@ -177,41 +163,39 @@ def cmd_measure(args) -> int:
     config = _build_config(args)
     if not config.measures:
         raise UsageError("--measures is required")
-    try:
-        records = load_dataset(args.input)
-    except OSError as exc:
-        raise InputError(f"cannot read dataset: {exc}") from None
-    except ValueError as exc:
-        raise InputError(f"dataset: {exc}") from None
-    rows = []
-    for record in records:
-        for measure in config.measures:
-            result = compute_measure(record, measure, config)
-            rows.append((record.id, record.category, result.measure, result.value, result.metadata))
+    records = _read("dataset", load_dataset, args.input)
+    rows = [
+        (record.id, record.category, measure, *compute_measure(record, measure, config))
+        for record in records
+        for measure in config.measures
+    ]
     write_results(rows, args.out)
     return 0
 
 
-def _read_results(path):
-    """Rows of a results CSV, with ``value`` parsed to a float (None if empty)."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if set(RESULTS_HEADER) - set(reader.fieldnames or []):
-                raise InputError(f"results file {path} lacks header {','.join(RESULTS_HEADER)}")
-            rows = list(reader)
-    except OSError as exc:
-        raise InputError(f"cannot read results: {exc}") from None
+def _load_results(path):
+    """Rows of a results CSV, with ``value`` parsed to a finite float (None
+    if empty); a missing header or a bad value raises ValueError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if set(RESULTS_HEADER) - set(reader.fieldnames or []):
+            raise ValueError(f"results file {path} lacks header {','.join(RESULTS_HEADER)}")
+        rows = list(reader)
     for r in rows:
+        if None in r or None in r.values():
+            raise ValueError(f"results file {path}: row {r['id']!r}: field count differs from the header")
+        cell = r["value"]
         try:
-            r["value"] = float(r["value"]) if r["value"] else None
+            r["value"] = float(cell) if cell else None
         except ValueError:
-            raise InputError(f"results file {path}: row {r['id']!r}: non-numeric value {r['value']!r}") from None
+            raise ValueError(f"results file {path}: row {r['id']!r}: non-numeric value {cell!r}") from None
+        if cell and not math.isfinite(r["value"]):
+            raise ValueError(f"results file {path}: row {r['id']!r}: non-finite value {cell!r}")
     return rows
 
 
 def cmd_correlate(args) -> int:
-    rows = _read_results(args.input)
+    rows = _read("results", _load_results, args.input)
     present = {r["measure"] for r in rows}
     for m in (args.x, args.y):
         if m not in present:
@@ -251,7 +235,7 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    rows = _read_results(args.input)
+    rows = _read("results", _load_results, args.input)
     group_col = args.group_col
     if rows and group_col not in rows[0]:
         raise UsageError(f"group column {group_col!r} not in results file")
@@ -285,14 +269,11 @@ def cmd_classify(args) -> int:
                     out_rows.append(row + ["", "", "", "", f"skipped: {exc}"])
                     continue
                 out_rows.append(row + [fmt12(rep.statistic), fmt12(rep.df), fmt12(rep.p_one_tail), fmt12(rep.p_two_tail), rep.notes])
-    stdout = csv.writer(sys.stdout, lineterminator="\n")
-    stdout.writerow(header)
-    stdout.writerows(out_rows)
+    table = [header, *out_rows]
+    csv.writer(sys.stdout, lineterminator="\n").writerows(table)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(out_rows)
+            csv.writer(fh).writerows(table)
     return 0
 
 
@@ -303,15 +284,10 @@ def cmd_tree(args) -> int:
     if args.method == "huffman":
         dot = coding.huffman_tree_dot(coding.huffman(s))
     else:
-        if args.split:
-            _, pathway = assembly_index_split(s)
-        else:
-            if len(s) > args.exact_guard:
-                raise UsageError(
-                    f"length {len(s)} exceeds exact guard {args.exact_guard}; "
-                    "pass --split for the heuristic pathway"
-                )
-            _, pathway = assembly_index_exact(s, limit=args.exact_guard)
+        try:
+            _, pathway = assembly_index_split(s) if args.split else assembly_index_exact(s, limit=args.exact_guard)
+        except ValueError as exc:
+            raise UsageError(f"{exc}: pass --split") from None
         dot = assembly_tree_dot(pathway)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(dot)
@@ -319,21 +295,13 @@ def cmd_tree(args) -> int:
 
 
 def cmd_ctm_gen(args) -> int:
-    try:
-        table = bdm_mod.ctm_enumerate(args.states, args.symbols, args.step_bound)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    bdm_mod.ctm_save(table, args.out)
+    # the only supported class; every step bound >= 6 gives the same table
+    bdm_mod.ctm_save(bdm_mod.ctm_enumerate(2, 2, 6), args.out)
     return 0
 
 
 def cmd_binarize(args) -> int:
-    try:
-        matrix = load_matrix_csv(args.input)
-    except OSError as exc:
-        raise InputError(f"cannot read matrix: {exc}") from None
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    matrix = _read("matrix", load_matrix_csv, args.input)
     save_matrix_csv(binarize_matrix(matrix, args.threshold), args.out)
     return 0
 
@@ -399,7 +367,7 @@ def cmd_synthetic(args) -> int:
     rows = synthetic_corpus(args.seed, args.size)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["id", "category", "payload_kind", "payload", "reference_value"])
+        writer.writerow(DATASET_HEADER)
         for rid, cat, payload in rows:
             writer.writerow([rid, cat, "string", payload, ""])
     return 0
@@ -415,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="run measures over a dataset CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--measures", required=True, help="comma-separated subset of " + ",".join(MEASURE_NAMES))
+    p.add_argument("--measures", required=True, help="comma-separated subset of " + ",".join(MEASURES))
     p.add_argument("--ctm-table", dest="ctm_table")
     p.add_argument("--toy-ctm", dest="toy_ctm", action="store_true")
     p.add_argument("--threshold", type=float)
@@ -451,10 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-guard", dest="exact_guard", type=int, default=DEFAULT_EXACT_GUARD)
     p.set_defaults(func=cmd_tree)
 
-    p = sub.add_parser("ctm-gen", help="enumerate a small-machine CTM table")
-    p.add_argument("--states", type=int, default=2)
-    p.add_argument("--symbols", type=int, default=2)
-    p.add_argument("--step-bound", dest="step_bound", type=int, default=30)
+    p = sub.add_parser("ctm-gen", help="enumerate the (2,2)-machine CTM table")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ctm_gen)
 

@@ -22,6 +22,10 @@ __all__ = [
     "save_matrix_csv",
 ]
 
+# the default 131,072-character field limit is below the 10^5-character
+# deceiver payloads; 2**31 - 1 fits a C long on every platform
+csv.field_size_limit(2**31 - 1)
+
 DATASET_HEADER = ["id", "category", "payload_kind", "payload", "reference_value"]
 RESULTS_HEADER = ["id", "category", "measure", "value", "metadata"]
 

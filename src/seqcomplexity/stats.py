@@ -10,7 +10,7 @@ corrections are applied anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = [
     "StatReport",
@@ -112,11 +112,17 @@ def _tails(t: float, df: float) -> tuple[float, float]:
     return one, min(1.0, 2.0 * one)
 
 
+def _check_finite(*samples):
+    if not all(math.isfinite(v) for sample in samples for v in sample):
+        raise ValueError("non-finite value")
+
+
 def _check_pair(xs, ys):
     if len(xs) != len(ys):
         raise ValueError("length mismatch")
     if len(xs) < 3:
         raise ValueError("need at least 3 pairs")
+    _check_finite(xs, ys)
     if min(xs) == max(xs) or min(ys) == max(ys):
         raise ValueError("zero variance")
 
@@ -177,17 +183,14 @@ def spearman(xs, ys, ci_level: float = 0.99) -> StatReport:
     """Spearman rho: Pearson correlation of mid-ranks (average-rank ties)."""
     _check_pair(xs, ys)
     rep = pearson(_midranks(xs), _midranks(ys), ci_level)
-    return StatReport(
-        statistic=rep.statistic, p_one_tail=rep.p_one_tail, p_two_tail=rep.p_two_tail,
-        df=rep.df, ci_low=rep.ci_low, ci_high=rep.ci_high,
-        method="spearman", notes="midranks; " + rep.notes,
-    )
+    return replace(rep, method="spearman", notes="midranks; " + rep.notes)
 
 
 def welch_t(a, b) -> StatReport:
     """Unpaired two-sample t-test with Welch's correction."""
     if len(a) < 2 or len(b) < 2:
         raise ValueError("need at least 2 observations per sample")
+    _check_finite(a, b)
     na, nb = len(a), len(b)
     ma = math.fsum(a) / na
     mb = math.fsum(b) / nb
@@ -256,6 +259,7 @@ def ks_two_sample(a, b) -> StatReport:
     """
     if not a or not b:
         raise ValueError("empty sample")
+    _check_finite(a, b)
     d = _ecdf_distance(a, b)
     n_eff = len(a) * len(b) / (len(a) + len(b))
     p = 1.0 if d == 0.0 else kolmogorov_sf(math.sqrt(n_eff) * d)

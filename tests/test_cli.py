@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from seqcomplexity import coding
+from seqcomplexity._util import fmt12
 from seqcomplexity.cli import main, synthetic_corpus
+from seqcomplexity.deceiver import champernowne
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CORPUS = os.path.join(DATA_DIR, "synthetic_corpus.csv")
@@ -99,6 +102,16 @@ class TestMeasure:
         (tmp_path / "m.csv").write_text("0,7\n2,9\n")
         data = _write_dataset(tmp_path, ["m1,c,matrix,m.csv,"])
         assert main(["measure", "--input", data, "--out", str(tmp_path / "o.csv"), "--measures", "entropy"]) == 2
+
+    def test_payload_over_csv_field_limit(self, tmp_path):
+        # longer than the csv module's default 131,072-character field limit
+        s = champernowne(200_000, 10)
+        data = _write_dataset(tmp_path, [f"long,c,string,{s},"])
+        out = str(tmp_path / "res.csv")
+        assert main(["measure", "--input", data, "--out", out, "--measures", "entropy,lzw"]) == 0
+        rows = _read_csv(out)
+        assert rows[0]["value"] == fmt12(coding.shannon_entropy(s))
+        assert rows[1]["value"] == str(coding.lzw_encode(s).bit_length)
 
 
 class TestCorrelate:
@@ -267,12 +280,9 @@ class TestSmallCommands:
 
     def test_ctm_gen_complement_rows(self, tmp_path):
         out = str(tmp_path / "ctm.csv")
-        assert main(["ctm-gen", "--states", "2", "--symbols", "2", "--step-bound", "30", "--out", out]) == 0
+        assert main(["ctm-gen", "--out", out]) == 0
         rows = {r.split(",")[0]: r.split(",")[1] for r in Path(out).read_text().splitlines()[1:]}
         assert rows["0"] == rows["1"]
-
-    def test_ctm_gen_unsupported_exits_2(self, tmp_path):
-        assert main(["ctm-gen", "--states", "3", "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_binarize(self, tmp_path):
         src = tmp_path / "m.csv"
@@ -401,6 +411,29 @@ class TestMalformedResults:
         err = capsys.readouterr().err
         assert results in err and "row 'm2'" in err and "'oops'" in err
 
+    @pytest.mark.parametrize("command", ["correlate", "classify"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, command, cell):
+        # an unchecked NaN cell would make correlate print statistic=1 p_two=0
+        path = tmp_path / "res.csv"
+        path.write_text(
+            "id,category,measure,value,metadata\n"
+            f"m1,a,e,1,\nm2,a,e,{cell},\nm3,b,e,2,\nm4,b,e,3,\n",
+            encoding="utf-8",
+        )
+        argv = [command, "--input", str(path)] + (["--x", "e", "--y", "e"] if command == "correlate" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "row 'm2'" in err and f"non-finite value '{cell}'" in err
+
+    @pytest.mark.parametrize("row", ["m2,a,e,2", "m2,a,e,2,,extra"])
+    def test_ragged_row_exits_1(self, tmp_path, capsys, row):
+        # a short row leaves None cells, which classify cannot sort as groups
+        path = tmp_path / "res.csv"
+        path.write_text(f"id,category,measure,value,metadata\nm1,a,e,1,x\n{row}\nm3,b,e,3,y\n", encoding="utf-8")
+        assert main(["classify", "--input", str(path), "--group-col", "metadata"]) == 1
+        assert "row 'm2': field count differs from the header" in capsys.readouterr().err
+
     def test_classify_stdout_quotes_commas(self, tmp_path, capsys):
         path = tmp_path / "res.csv"
         path.write_text(
@@ -412,6 +445,56 @@ class TestMalformedResults:
         rows = list(csv.reader(capsys.readouterr().out.splitlines()))
         assert rows[1][:4] == ["m1", "x,1", "y", "welch_t"]
         assert len(rows[1]) == len(rows[0])
+
+
+class TestInputFiles:
+    """Every input file, missing, undecodable or malformed, exits 1 with a
+    message and no traceback."""
+
+    VALID = {
+        "dataset": "id,category,payload_kind,payload,reference_value\nm1,c,string,0101,\n",
+        "results": "id,category,measure,value,metadata\nm1,a,e,1,\nm2,b,e,2,\nm3,b,e,3,\n",
+        "matrix": "1,4\n3,2\n",
+        "CTM table": "block,ctm_bits\n0,1.5\n1,1.5\n",
+    }
+    MALFORMED = {
+        "dataset": "id,category\nm1,c\n",
+        "results": "id,category,measure\nm1,a,e\n",
+        "matrix": "1,4\n3,x\n",
+        "CTM table": "block,bits\n0,1.5\n",
+    }
+
+    def _argv(self, kind, path, tmp_path):
+        out = str(tmp_path / "out.csv")
+        if kind == "dataset":
+            return ["measure", "--input", path, "--out", out, "--measures", "entropy"]
+        if kind == "results-correlate":
+            return ["correlate", "--input", path, "--x", "e", "--y", "e"]
+        if kind == "results-classify":
+            return ["classify", "--input", path]
+        if kind == "matrix":
+            return ["binarize", "--input", path, "--threshold", "2", "--out", out]
+        dataset = _write_dataset(tmp_path, ["m1,c,string,0101,"])
+        return ["measure", "--input", dataset, "--out", out, "--measures", "bdm1d", "--block", "1", "--ctm-table", path]
+
+    @pytest.mark.parametrize("kind", ["dataset", "results-correlate", "results-classify", "matrix", "CTM table"])
+    @pytest.mark.parametrize("case", ["missing", "non_utf8", "malformed"])
+    def test_bad_file_exits_1(self, tmp_path, capsys, kind, case):
+        what = kind.partition("-")[0]
+        path = tmp_path / "input.csv"
+        if case == "non_utf8":
+            path.write_bytes(self.VALID[what].encode("utf-8") + b"\xff\xfe\n")
+        elif case == "malformed":
+            path.write_text(self.MALFORMED[what], encoding="utf-8")
+        assert main(self._argv(kind, str(path), tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and what in err
+
+    @pytest.mark.parametrize("kind", ["dataset", "results-correlate", "results-classify", "matrix", "CTM table"])
+    def test_valid_file_exits_0(self, tmp_path, kind):
+        path = tmp_path / "input.csv"
+        path.write_text(self.VALID[kind.partition("-")[0]], encoding="utf-8")
+        assert main(self._argv(kind, str(path), tmp_path)) == 0
 
 
 def _sha256(path):

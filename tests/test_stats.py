@@ -38,6 +38,14 @@ class TestPearson:
         with pytest.raises(ValueError, match="length mismatch"):
             pearson([1, 2, 3], [1, 2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # min(1.0, nan) is 1.0, so an unchecked NaN would read as r = 1, p = 0
+        with pytest.raises(ValueError, match="non-finite value"):
+            pearson([1, 2, bad, 4], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="non-finite value"):
+            pearson([1, 2, 3, 4], [1, 2, bad, 4])
+
     def test_degenerate_r_has_no_ci(self):
         rep = pearson([1, 2, 3], [2, 4, 6])
         assert rep.p_two_tail == 0.0
@@ -104,6 +112,19 @@ class TestSpearman:
         expected = pearson([1.0, 2.5, 2.5, 4.0], [1.0, 2.0, 3.0, 4.0]).statistic
         assert rep.statistic == pytest.approx(expected, abs=1e-12)
 
+    def test_report_is_pearson_of_midranks(self):
+        xs, ys = [3.0, 1.0, 4.0, 1.0, 5.0], [2.0, 7.0, 1.0, 8.0, 2.5]
+        rep, ref = spearman(xs, ys), pearson([3.0, 1.5, 4.0, 1.5, 5.0], [2.0, 4.0, 1.0, 5.0, 3.0])
+        assert (rep.statistic, rep.p_one_tail, rep.p_two_tail, rep.df, rep.ci_low, rep.ci_high) == (
+            ref.statistic, ref.p_one_tail, ref.p_two_tail, ref.df, ref.ci_low, ref.ci_high
+        )
+        assert rep.method == "spearman" and rep.notes == "midranks; " + ref.notes
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite value"):
+            spearman([1, 2, bad, 4], [1, 2, 3, 4])
+
 
 class TestWelch:
     def test_identical_samples(self):
@@ -140,6 +161,14 @@ class TestWelch:
         with pytest.raises(ValueError, match="zero variance"):
             welch_t([3, 3], [4, 4])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # an unchecked NaN would fail deep inside the incomplete beta
+        with pytest.raises(ValueError, match="non-finite value"):
+            welch_t([1.0, bad, 3.0], [2.0, 3.0, 4.0])
+        with pytest.raises(ValueError, match="non-finite value"):
+            welch_t([1.0, 2.0, 3.0], [2.0, 3.0, bad])
+
 
 class TestKs:
     def test_disjoint_supports(self):
@@ -156,6 +185,12 @@ class TestKs:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty sample"):
             ks_two_sample([], [1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN has no place in a sort order, so the ECDFs would be arbitrary
+        with pytest.raises(ValueError, match="non-finite value"):
+            ks_two_sample([1.0, bad, 3.0], [2.0, 4.0])
 
     @given(
         st.lists(FLOATS, min_size=1, max_size=15),
