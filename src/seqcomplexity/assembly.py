@@ -9,10 +9,9 @@ the minimum number of join steps needed to build it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby
-from operator import itemgetter
+from heapq import heappop, heapreplace
+from itertools import count, filterfalse
 
 from ._util import dot_escape
 
@@ -275,118 +274,119 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     return depth, _fold_pathway(s, defs)
 
 
-def _longest_repeat(seqs):
-    """Longest window (>= 2 tokens) with >= 2 non-overlapping occurrences.
-
-    Returns ``(window tuple, places)``, where ``places`` lists every
-    ``(seq, pos)`` occurrence of the window in ascending order, or
-    ``(None, [])`` when no window repeats.  Among the longest windows the
-    one whose first occurrence is earliest by (seq, pos) wins.
-
-    The sequences are joined with a fresh sentinel after each one, so no
-    window spans two of them and a window has two non-overlapping
-    occurrences exactly when its last start is at least its length past
-    its first.  The occurrences are grouped by their 2-token window, and
-    each pass splits every group by the token after its window and keeps
-    the groups that still repeat.  Repeating is monotone in the length
-    (a window's prefixes repeat wherever it does), so the groups left by
-    the last pass are every longest repeat.  A pass costs the number of
-    occurrences still grouped, so one call costs O(n * L) for the repeat
-    length L it finds.
+def _repeat_spans(t, sep):
+    """``lo, hi, L``: ``p`` is the first start of a window of ``t`` that
+    holds no ``sep`` and occurs twice without overlap (last start at least
+    the length past the first) for the lengths ``lo[p]`` to ``hi[p]`` (a
+    range: a window's prefixes repeat wherever it does, and its extensions
+    occur no earlier), and no repeat is longer than ``L``.  Each pass
+    splits the occurrences of every repeat by the next character.
     """
-    joined, starts = [], []
-    for seq in seqs:
-        starts.append(len(joined))
-        joined.extend(seq)
-        joined.append(object())  # equal to no token, unique per sequence
     by_pair = {}
-    for p, pair in enumerate(zip(joined, joined[1:])):
+    for p in range(len(t) - 1):
+        pair = t[p : p + 2]
         if pair in by_pair:
             by_pair[pair].append(p)
         else:
             by_pair[pair] = [p]
-    groups = [g for g in by_pair.values() if g[-1] - g[0] >= 2]
-    if not groups:
-        return None, []
-    length = 2
-    while True:
+    groups = [g for pair, g in by_pair.items() if g[-1] - g[0] >= 2 and sep not in pair]
+    lo, hi, length = {}, {}, 2
+    while groups:
         refined = []
         for group in groups:
+            lo.setdefault(group[0], length)
+            hi[group[0]] = length
             by_next = {}
             for p in group:
-                tok = joined[p + length]
-                if tok in by_next:
-                    by_next[tok].append(p)
+                c = t[p + length]
+                if c in by_next:
+                    by_next[c].append(p)
                 else:
-                    by_next[tok] = [p]
-            for g in by_next.values():
-                if g[-1] - g[0] > length:
+                    by_next[c] = [p]
+            for c, g in by_next.items():
+                if g[-1] - g[0] > length and c != sep:
                     refined.append(g)
-        if not refined:
-            break
         groups = refined
         length += 1
-    winner = min(groups, key=itemgetter(0))
-    first = winner[0]
-    places = []
-    for p in winner:
-        k = bisect_right(starts, p) - 1
-        places.append((k, p - starts[k]))
-    return tuple(joined[first : first + length]), places
-
-
-def _replace_window(seq, positions, length, ref):
-    """Replace the occurrences at sorted ``positions`` greedily left to
-    right, skipping any that overlaps the previous replacement."""
-    out, end = [], 0
-    for pos in positions:
-        if pos >= end:
-            out.extend(seq[end:pos])
-            out.append(ref)
-            end = pos + length
-    out.extend(seq[end:])
-    return out
+    return lo, hi, length - 1
 
 
 def assembly_index_split(s: str):
     """Polynomial-time upper bound on the assembly index, with witness.
 
-    Repeatedly factors out the longest token window occurring at least
-    twice without overlap across the target and all factored objects
-    (replacement is greedy left to right), then counts one join per
-    remaining concatenation, each distinct factored object built once.
+    Repeatedly factors out the longest window of two or more tokens that
+    occurs twice without overlap in the target and the factored objects
+    (the earliest by first occurrence, replaced greedily left to right),
+    then counts one join per remaining concatenation.
+
+    All sequences live in one string ``t``, each followed by ``sep``.  A
+    basis symbol is itself; a factored object is a fresh character, padded
+    with ``pad`` to the length it replaces so positions never move, and
+    ``spelled`` is ``t`` spelled out.  The repeats are grouped once
+    (``_repeat_spans``); those of the current length form a heap of
+    positions, each a lower bound on the first occurrence of the window
+    spelled there.  A round pops the windows that no longer repeat, moves
+    those whose first occurrence moved, and factors out the first that
+    did neither; an empty heap means the next length down.
+
+    This is exact because a round creates no repeat.  Say it replaces
+    ``W``, the longest repeat, of length ``L``, by a fresh ``X``.  A window
+    of ``l >= 2`` tokens holding ``X`` with two non-overlapping occurrences
+    would, with ``X`` spelled out, be a non-overlapping repeat of the old
+    text of length ``l - 1 + L > L``.  A window without ``X`` maps to the
+    old text as it is (in the appended definition of ``X``, to a replaced
+    occurrence of ``W``).  So no repeat ever holds a factored object, the
+    repeats of each length only shrink, and their occurrences only vanish
+    or appear in appended definitions: first occurrences only move right.
+    Nor is ``W`` ever an object's definition, so each round makes a new
+    object: such a definition holds no factored object, so it is still the
+    winner that made it, which greedy replacement left nowhere else; later
+    rounds only remove its occurrences, and a later definition is no
+    longer, so holds it only by being it, which needs it to repeat first.
+    A round that tests more than ``len(t)`` windows regroups ``t``, which
+    bounds the cost of dropping many lengths.
 
     Returns ``(upper_bound, AssemblyPathway)``.
     """
     if not s:
         raise ValueError("empty input")
-    seqs = [list(s)]  # seqs[0] is the target; seqs[k] defines object k
-    expansion = [s]  # the string each sequence spells; fixed once created
+    fresh = filterfalse(set(s).__contains__, map(chr, count()))  # characters not in s
+    sep, pad = next(fresh), next(fresh)
+    t = spelled = s + sep
+    lo, hi, length = _repeat_spans(t, sep)
+    heap, keys = None, []
     while True:
-        window, places = _longest_repeat(seqs)
-        if window is None:
+        best, tested = None, 0
+        while length > 1 and best is None:
+            if heap is None:  # a sorted list is a heap
+                heap = sorted(p for p in hi if lo[p] <= length <= hi[p])
+            while heap:
+                bound = heap[0]
+                w = spelled[bound : bound + length]
+                first = t.find(w, bound)
+                tested += 1
+                if first > bound:
+                    heapreplace(heap, first)
+                elif first == bound and t.find(w, first + length) >= 0:
+                    best = w
+                    break
+                else:
+                    heappop(heap)
+            if best is None:
+                length, heap = length - 1, None
+                if tested > len(t):
+                    lo, hi, length = _repeat_spans(t.replace(pad, sep), sep)
+        if best is None:
             break
-        w = list(window)
-        obj = None
-        for k in range(1, len(seqs)):
-            if seqs[k] == w:
-                obj = k
-                break
-        if obj is None:
-            seqs.append(w)
-            expansion.append("".join(tok if isinstance(tok, str) else expansion[tok] for tok in w))
-            obj = len(seqs) - 1
-        for k, group in groupby(places, key=itemgetter(0)):
-            if k != obj:
-                seqs[k] = _replace_window(seqs[k], [pos for _, pos in group], len(w), obj)
+        keys.append(next(fresh))
+        t = t.replace(best, keys[-1] + pad * (length - 1)) + best + sep
+        spelled += best + sep
 
+    seqs = t.replace(pad, "").split(sep)[:-1]  # the target, then each definition
     upper = sum(len(q) - 1 for q in seqs)
-
-    # build objects shortest-first (definitions only reference strictly
-    # shorter objects), the target last
-    order = sorted(range(1, len(seqs)), key=lambda k: (len(expansion[k]), expansion[k]))
-    order.append(0)
-    return upper, _fold_pathway(s, [(k, seqs[k]) for k in order])
+    # objects shortest first (a definition uses only shorter ones), the target last
+    order = sorted(zip(spelled.split(sep)[1:-1], keys, seqs[1:]), key=lambda d: (len(d[0]), d[0]))
+    return upper, _fold_pathway(s, [(key, q) for _, key, q in order] + [(sep, seqs[0])])
 
 
 def assembly_tree_dot(p: AssemblyPathway) -> str:

@@ -113,6 +113,14 @@ def compute_measure(record, measure, config: RunConfig):
     return value, note + suffix
 
 
+def _exact_guard(args) -> int:
+    """``--exact-guard``, which may only lower the default bound on the
+    exact search's input length."""
+    if not 1 <= args.exact_guard <= DEFAULT_EXACT_GUARD:
+        raise UsageError(f"--exact-guard must be in 1..{DEFAULT_EXACT_GUARD}, got {args.exact_guard}")
+    return args.exact_guard
+
+
 def _build_config(args) -> RunConfig:
     measures = tuple(m.strip() for m in args.measures.split(",")) if args.measures else ()
     for m in measures:
@@ -127,7 +135,7 @@ def _build_config(args) -> RunConfig:
         measures=measures,
         ctm_tables={t.dimension: t for t in tables},
         binarize_threshold=args.threshold,
-        exact_guard=args.exact_guard,
+        exact_guard=_exact_guard(args),
     )
     for m in measures:
         dim = MEASURES[m].ctm_dim
@@ -279,13 +287,14 @@ def cmd_classify(args) -> int:
 
 def cmd_tree(args) -> int:
     s = args.string
+    limit = _exact_guard(args)
     if not s:
         raise InputError("empty input string")
     if args.method == "huffman":
         dot = coding.huffman_tree_dot(coding.huffman(s))
     else:
         try:
-            _, pathway = assembly_index_split(s) if args.split else assembly_index_exact(s, limit=args.exact_guard)
+            _, pathway = assembly_index_split(s) if args.split else assembly_index_exact(s, limit=limit)
         except ValueError as exc:
             raise UsageError(f"{exc}: pass --split") from None
         dot = assembly_tree_dot(pathway)
@@ -301,7 +310,7 @@ def cmd_ctm_gen(args) -> int:
 
 
 def cmd_binarize(args) -> int:
-    matrix = _read("matrix", load_matrix_csv, args.input)
+    matrix = _read(f"matrix {args.input}", load_matrix_csv, args.input)
     save_matrix_csv(binarize_matrix(matrix, args.threshold), args.out)
     return 0
 

@@ -106,12 +106,12 @@ def load_matrix_csv(path) -> list[list[float]]:
             try:
                 rows.append([float(v) for v in raw.strip().split(",")])
             except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric entry") from None
+                raise ValueError(f"line {lineno}: non-numeric entry") from None
     if not rows:
-        raise ValueError(f"{path}: empty matrix file")
+        raise ValueError("empty matrix file")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows")
+        raise ValueError("ragged rows")
     return rows
 
 
@@ -154,8 +154,8 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
                     mpath = os.path.join(base, mpath)
                 try:
                     payload = load_matrix_csv(mpath)
-                except OSError as exc:
-                    raise ValueError(f"row {rid!r}: unreadable matrix path: {exc}") from None
+                except (OSError, ValueError) as exc:  # UnicodeDecodeError included
+                    raise ValueError(f"row {rid!r}: matrix {mpath}: {exc}") from None
             else:
                 raise ValueError(f"row {rid!r}: unknown payload kind {kind!r}")
             ref = row.get("reference_value") or ""

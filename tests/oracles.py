@@ -185,6 +185,59 @@ def longest_nonoverlapping_repeat(seqs):
     return None, 0
 
 
+def split_reference(s):
+    """The split heuristic spelled out: while some window of >= 2 tokens
+    repeats without overlap (``longest_nonoverlapping_repeat``), it becomes
+    an object, or names the object already defined by it, and a left to
+    right scan replaces it in every other sequence.  Objects are built
+    shortest first, ties by their string, each definition joined left to
+    right, then the target.
+
+    Returns ``(index, steps)``: the number of joins and the
+    ``(left, right, result)`` of each, where a reference is a basis symbol
+    or the index of an earlier step.
+    """
+    seqs = [list(s)]  # seqs[0] is the target, seqs[k] defines object k
+    while True:
+        window, length = longest_nonoverlapping_repeat(seqs)
+        if window is None:
+            break
+        window = list(window)
+        if window in seqs[1:]:
+            obj = seqs.index(window, 1)
+        else:
+            seqs.append(window)
+            obj = len(seqs) - 1
+        for k, seq in enumerate(seqs):
+            if k == obj:
+                continue
+            out, i = [], 0
+            while i < len(seq):
+                if seq[i : i + length] == window:
+                    out.append(obj)
+                    i += length
+                else:
+                    out.append(seq[i])
+                    i += 1
+            seqs[k] = out
+
+    def spell(tok):
+        return tok if isinstance(tok, str) else "".join(spell(t) for t in seqs[tok])
+
+    objects = sorted(range(1, len(seqs)), key=lambda k: (len(spell(k)), spell(k)))
+    steps, ref_of = [], {}
+    for k in objects + [0]:
+        seq = seqs[k]
+        ref = ref_of.get(seq[0], seq[0])
+        text = spell(seq[0])
+        for tok in seq[1:]:
+            text += spell(tok)
+            steps.append((ref, ref_of.get(tok, tok), text))
+            ref = len(steps) - 1
+        ref_of[k] = ref
+    return sum(len(q) - 1 for q in seqs), steps
+
+
 def lz77_phrases(s):
     """Number of phrases in the greedy LZ77 parse of ``s`` without
     self-reference: each phrase is the longest prefix of the rest that

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seqcomplexity import assembly, cli
+from seqcomplexity import assembly, cli, deceiver
 from seqcomplexity.assembly import (
     AssemblyPathway,
     JoinStep,
@@ -18,6 +18,26 @@ from seqcomplexity.assembly import (
 import oracles
 
 SHORT = st.text(alphabet="AB", min_size=1, max_size=9)
+# R + R for a random binary string R of 20 characters
+R_PLUS_R = "BBABBBBBBAABAABABAAB" * 2
+
+
+def _modular(max_steps, max_len):
+    """Modular deceivers, cut to ``max_len`` characters."""
+    spec = st.builds(
+        deceiver.GeneratorSpec,
+        kind=st.just("modular"),
+        seed=st.text(alphabet="ABC", min_size=1, max_size=3),
+        period=st.integers(1, 8),
+        steps=st.integers(1, max_steps),
+        extension_symbols=st.lists(st.sampled_from("ABCD"), max_size=4).map(tuple),
+    )
+    return spec.map(lambda g: deceiver.generate(g)[:max_len])
+
+
+def _split_steps(s):
+    value, pathway = assembly_index_split(s)
+    return value, [(step.left, step.right, step.result) for step in pathway.steps]
 
 
 def _witness_digest(search, strings):
@@ -232,27 +252,78 @@ class TestSplit:
         assert verify_pathway(pathway, s)
         assert pathway.index == ub
 
+    @given(
+        st.one_of(
+            st.text(alphabet="AB", min_size=1, max_size=40),
+            st.text(alphabet="ABC", min_size=1, max_size=40),
+            st.builds(deceiver.champernowne, st.integers(1, 40), st.integers(2, 16)),
+            _modular(8, 40),
+        )
+    )
+    @example(R_PLUS_R)
+    @example("ABCD" * 10)
+    @example("A" * 40)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, s):
+        assert _split_steps(s) == oracles.split_reference(s)
 
-MIXED_TOKENS = st.one_of(st.sampled_from("ab"), st.integers(1, 2))
+    @pytest.mark.parametrize("s", [R_PLUS_R, "ABCD" * 10, "ABCDEFGHIJ" * 4])
+    def test_regrouping_matches_reference(self, monkeypatch, s):
+        # these drop so many levels in one round that the round regroups
+        # the text, which must not change the witness
+        grouped = []
+        spans = assembly._repeat_spans
+        monkeypatch.setattr(assembly, "_repeat_spans", lambda t, sep: grouped.append(t) or spans(t, sep))
+        assert _split_steps(s) == oracles.split_reference(s)
+        assert len(grouped) > 1
+
+    @given(
+        st.one_of(
+            st.builds(deceiver.champernowne, st.integers(1, 2000), st.integers(2, 16)),
+            _modular(120, 2000),
+        )
+    )
+    @example(deceiver.champernowne(2000, 2))
+    @example(deceiver.champernowne(2000, 16))
+    @example(
+        deceiver.generate(
+            deceiver.GeneratorSpec("modular", seed="AB", period=3, steps=120, extension_symbols=("C", "D"))
+        )[:2000]
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_lz77_bound_on_deceivers(self, s):
+        # a split witness is a pathway, and a pathway with k joins parses s
+        # into at most k + 1 LZ77 phrases without self-reference
+        assert oracles.lz77_phrases(s) - 1 <= assembly_index_split(s)[0]
 
 
-class TestLongestRepeat:
-    @given(st.lists(st.lists(MIXED_TOKENS, min_size=1, max_size=10), min_size=1, max_size=4))
-    @example([["a", 1, "b", 2]])  # no repeat
-    @example([["a", "a", "a"]])  # only overlapping occurrences
-    @example([["x", "c", "d", "a", "b"], ["a", "b", "c", "d"]])  # tie: earliest first wins
-    @example([[1, "a"], ["b", 1, "a"], [2]])  # occurrences in different sequences
+class TestRepeatSpans:
+    @given(st.lists(st.text(alphabet="abxy", min_size=1, max_size=10), min_size=1, max_size=4))
+    @example(["abxy"])  # no repeat
+    @example(["aaa"])  # only overlapping occurrences
+    @example(["xcdab", "abcd"])  # occurrences in different sequences
+    @example(["ab", "ab"])  # the windows around the separator repeat too
     @settings(max_examples=300, deadline=None)
     def test_matches_brute_force(self, seqs):
-        window, places = assembly._longest_repeat(seqs)
-        length = len(window) if window else 0
-        assert (window, length) == oracles.longest_nonoverlapping_repeat(seqs)
-        assert places == [
-            (k, i)
-            for k, q in enumerate(seqs)
-            for i in range(len(q))
-            if tuple(q[i : i + length]) == window
-        ]
+        sep = "|"
+        t = sep.join(seqs) + sep
+
+        def first_starts(length):
+            """First start of each sep-free window of ``length`` that occurs
+            again at least ``length`` further on."""
+            windows = {t[i : i + length] for i in range(len(t) - length + 1)}
+            return sorted(
+                t.find(w)
+                for w in windows
+                if sep not in w and any(t.startswith(w, j) for j in range(t.find(w) + length, len(t)))
+            )
+
+        expected = [first_starts(length) for length in range(2, len(t))]
+        while expected and not expected[-1]:
+            expected.pop()
+        lo, hi, longest = assembly._repeat_spans(t, sep)
+        assert lo.keys() == hi.keys()
+        assert [sorted(p for p in hi if lo[p] <= length <= hi[p]) for length in range(2, longest + 1)] == expected
 
 
 class TestVerifyPathway:

@@ -51,6 +51,14 @@ class TestMeasure:
         out = str(tmp_path / "res.csv")
         assert main(["measure", "--input", str(tmp_path / "nope.csv"), "--out", out, "--measures", "entropy"]) == 1
 
+    @pytest.mark.parametrize("guard", ["0", "-1", "26", "40"])
+    def test_exact_guard_out_of_range_exits_2(self, tmp_path, capsys, guard):
+        # a 35-character payload under --exact-guard 40 would search without limit
+        data = _write_dataset(tmp_path, ["m1,c,string," + "01101" * 7 + ","])
+        out = str(tmp_path / "res.csv")
+        assert main(["measure", "--input", data, "--out", out, "--measures", "ma_exact", "--exact-guard", guard]) == 2
+        assert "--exact-guard must be in 1..25" in capsys.readouterr().err
+
     def test_abracadabra_ma_exact(self, tmp_path):
         data = _write_dataset(tmp_path, ["abra11,demo,string,ABRACADABRA,"])
         out = str(tmp_path / "res.csv")
@@ -262,6 +270,12 @@ class TestTree:
 
     def test_empty_string_exits_1(self, tmp_path):
         assert main(["tree", "--string", "", "--out", str(tmp_path / "t.dot")]) == 1
+
+    @pytest.mark.parametrize("guard", ["0", "-1", "26", "40"])
+    def test_exact_guard_out_of_range_exits_2(self, tmp_path, capsys, guard):
+        out = str(tmp_path / "t.dot")
+        assert main(["tree", "--string", "01101" * 7, "--out", out, "--exact-guard", guard]) == 2
+        assert "--exact-guard must be in 1..25" in capsys.readouterr().err
 
     def test_over_guard_suggests_split(self, tmp_path, capsys):
         out = str(tmp_path / "t.dot")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,6 +168,13 @@ class TestDatasetIo:
     def test_unreadable_matrix_path(self, tmp_path):
         path = self._write(tmp_path, ["m1,c,matrix,missing.csv,"])
         with pytest.raises(ValueError, match="m1"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("content", [b"1,2\n\xff\n", b"1,2\n3,x\n"])
+    def test_bad_matrix_file_names_row_and_file(self, tmp_path, content):
+        (tmp_path / "m.csv").write_bytes(content)
+        path = self._write(tmp_path, ["m1,c,matrix,m.csv,"])
+        with pytest.raises(ValueError, match="^" + re.escape(f"row 'm1': matrix {tmp_path / 'm.csv'}: ")):
             load_dataset(path)
 
     def test_bad_reference_value_names_row(self, tmp_path):
