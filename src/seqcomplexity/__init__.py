@@ -24,7 +24,6 @@ from .bdm import (
 from .coding import (
     HuffmanResult,
     LzwResult,
-    SymbolCounts,
     huffman,
     huffman_tree_dot,
     lzw_encode,
@@ -68,7 +67,6 @@ __all__ = [
     "toy_table_2d",
     "HuffmanResult",
     "LzwResult",
-    "SymbolCounts",
     "huffman",
     "huffman_tree_dot",
     "lzw_encode",

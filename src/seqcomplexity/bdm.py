@@ -47,7 +47,6 @@ class CtmTable:
     """
 
     dimension: int
-    alphabet_size: int
     entries: dict
     provenance: str = field(default="", compare=False)
 
@@ -75,20 +74,23 @@ class BdmParams:
 
     ``block_size`` applies to 1D, ``block_shape`` to 2D; ``overlap`` must
     stay below the block size (2D decomposition is always non-overlapping).
-    ``boundary`` is ``ignore`` (drop partial blocks) or ``pad``;
-    ``missing_block_policy`` is ``error`` or ``entropy_surrogate``.
+    A partial block is dropped when ``pad_symbol`` is None and padded with
+    it otherwise; ``missing_block_policy`` is ``error`` or
+    ``entropy_surrogate``.
     """
 
     block_size: int | None = None
     block_shape: tuple[int, int] | None = None
     overlap: int = 0
-    boundary: str = "ignore"
     missing_block_policy: str = "error"
     pad_symbol: str | None = None
 
+    @property
+    def boundary(self) -> str:
+        """``pad`` when partial blocks are padded, else ``ignore``."""
+        return "ignore" if self.pad_symbol is None else "pad"
+
     def __post_init__(self):
-        if self.boundary not in ("ignore", "pad"):
-            raise ValueError("boundary must be 'ignore' or 'pad'")
         if self.missing_block_policy not in ("error", "entropy_surrogate"):
             raise ValueError("missing_block_policy must be 'error' or 'entropy_surrogate'")
         if self.block_size is not None:
@@ -100,8 +102,6 @@ class BdmParams:
             r, c = self.block_shape
             if r < 1 or c < 1:
                 raise ValueError("block_shape entries must be positive")
-        if self.boundary == "pad" and self.pad_symbol is None:
-            raise ValueError("pad boundary requires pad_symbol")
 
 
 def _run_machine(cells, blank, step_bound):
@@ -165,7 +165,6 @@ def ctm_enumerate(states: int, symbols: int, step_bound: int) -> CtmTable:
     }
     return CtmTable(
         dimension=1,
-        alphabet_size=symbols,
         entries=entries,
         provenance=f"enumerated ({states},{symbols}), {step_bound}-step bound",
     )
@@ -202,7 +201,8 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     bad = set(s) - alphabet
     if bad:
         raise ValueError(f"symbols {sorted(bad)} not in table alphabet")
-    if params.boundary == "pad" and params.pad_symbol not in alphabet:
+    pad = params.pad_symbol
+    if pad is not None and pad not in alphabet:
         raise ValueError("pad symbol not in table alphabet")
 
     # Block k is s[k*stride : k*stride + size], so its j-th symbol is the
@@ -214,8 +214,8 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     counts = Counter(zip(*(s[j::stride][:n] for j in range(size))))
     counts = Counter({"".join(block): c for block, c in counts.items()})
     i = n * stride
-    if i < len(s) and params.boundary == "pad":
-        counts[(s[i:] + params.pad_symbol * size)[:size]] += 1
+    if i < len(s) and pad is not None:
+        counts[(s[i:] + pad * size)[:size]] += 1
     return _aggregate(counts, table, params.missing_block_policy)
 
 
@@ -246,11 +246,12 @@ def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
 
     # every symbol is now one character, so a row is a string of width cols
     grid = ["".join(row) for row in cells]
-    if params.boundary == "pad":
-        if params.pad_symbol not in alphabet:
+    pad = params.pad_symbol
+    if pad is not None:
+        if pad not in alphabet:
             raise ValueError("pad symbol not in table alphabet")
-        grid = [row + params.pad_symbol * (-cols % bc) for row in grid]
-        grid += [params.pad_symbol * len(grid[0])] * (-rows % br)
+        grid = [row + pad * (-cols % bc) for row in grid]
+        grid += [pad * len(grid[0])] * (-rows % br)
 
     blocks = [
         (br, bc, "".join(row[j : j + bc] for row in grid[i : i + br]))
@@ -312,20 +313,13 @@ def ctm_load(path) -> CtmTable:
         entries[key] = sig12(bits)
     if not entries:
         raise ValueError("empty table: header only")
-    alphabet = {ch for key in entries for ch in (key if dimension == 1 else key[2])}
-    return CtmTable(
-        dimension=dimension,
-        alphabet_size=len(alphabet),
-        entries=entries,
-        provenance=f"loaded from {path}",
-    )
+    return CtmTable(dimension=dimension, entries=entries, provenance=f"loaded from {path}")
 
 
 def toy_table_1d() -> CtmTable:
     """Tiny fixed 1D table over binary blocks of size 2 (for demos/tests)."""
     return CtmTable(
         dimension=1,
-        alphabet_size=2,
         entries={"00": 2.0, "11": 2.0, "01": 3.0, "10": 2.5},
         provenance="bundled toy table, 1D blocks of 2",
     )
@@ -345,7 +339,6 @@ def toy_table_2d() -> CtmTable:
         entries[(2, 2, flat)] = bits
     return CtmTable(
         dimension=2,
-        alphabet_size=2,
         entries=entries,
         provenance="bundled toy table, 2D blocks of 2x2",
     )

@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 from . import bdm as bdm_mod
 from . import coding, deceiver, stats
-from .assembly import (
-    DEFAULT_EXACT_GUARD,
-    assembly_index_exact,
-    assembly_index_split,
-    assembly_tree_dot,
-)
+from .assembly import assembly_index_exact, assembly_index_split, assembly_tree_dot
 from .ingest import (
     DATASET_HEADER,
     RESULTS_HEADER,
@@ -68,7 +63,6 @@ class RunConfig:
     ctm_tables: "dict[int, bdm_mod.CtmTable]" = field(default_factory=dict)  # keyed by dimension
     binarize_threshold: float | None = None
     bdm_params: "bdm_mod.BdmParams | None" = None  # set only when a BDM measure is requested
-    exact_guard: int = DEFAULT_EXACT_GUARD
 
 
 def _binary_matrix(record, config):
@@ -105,7 +99,7 @@ def compute_measure(record, measure, config: RunConfig):
             x, source = text_to_bits(x), "utf8_bits"
         suffix = f";input={source}"
     try:
-        value, note = entry.compute(x, config.ctm_tables.get(entry.ctm_dim), config.bdm_params, config.exact_guard)
+        value, note = entry.compute(x, config.ctm_tables.get(entry.ctm_dim), config.bdm_params)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"record {record.id!r}, measure {measure!r}: {exc.args[0] if exc.args else exc}") from None
     if entry.ctm_dim and config.bdm_params.missing_block_policy != "error":
@@ -113,19 +107,13 @@ def compute_measure(record, measure, config: RunConfig):
     return value, note + suffix
 
 
-def _exact_guard(args) -> int:
-    """``--exact-guard``, which may only lower the default bound on the
-    exact search's input length."""
-    if not 1 <= args.exact_guard <= DEFAULT_EXACT_GUARD:
-        raise UsageError(f"--exact-guard must be in 1..{DEFAULT_EXACT_GUARD}, got {args.exact_guard}")
-    return args.exact_guard
-
-
 def _build_config(args) -> RunConfig:
     measures = tuple(m.strip() for m in args.measures.split(",")) if args.measures else ()
-    for m in measures:
+    for i, m in enumerate(measures):
         if m not in MEASURES:
             raise UsageError(f"unknown measure {m!r}; choose from {','.join(MEASURES)}")
+        if m in measures[:i]:
+            raise UsageError(f"--measures names {m!r} twice")
     if args.toy_ctm and args.ctm_table:
         raise UsageError("--toy-ctm and --ctm-table are mutually exclusive")
     tables = (bdm_mod.toy_table_1d(), bdm_mod.toy_table_2d()) if args.toy_ctm else ()
@@ -135,7 +123,6 @@ def _build_config(args) -> RunConfig:
         measures=measures,
         ctm_tables={t.dimension: t for t in tables},
         binarize_threshold=args.threshold,
-        exact_guard=_exact_guard(args),
     )
     for m in measures:
         dim = MEASURES[m].ctm_dim
@@ -159,7 +146,6 @@ def _bdm_params(args) -> "bdm_mod.BdmParams":
             block_size=args.block,
             block_shape=block_shape,
             overlap=args.overlap,
-            boundary=args.boundary,
             missing_block_policy="entropy_surrogate" if args.missing_block == "entropy" else "error",
             pad_symbol="0" if args.boundary == "pad" else None,
         )
@@ -183,15 +169,21 @@ def cmd_measure(args) -> int:
 
 def _load_results(path):
     """Rows of a results CSV, with ``value`` parsed to a finite float (None
-    if empty); a missing header or a bad value raises ValueError."""
+    if empty); a missing header, a bad value or a repeated ``(id, measure)``
+    row raises ValueError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if set(RESULTS_HEADER) - set(reader.fieldnames or []):
             raise ValueError(f"results file {path} lacks header {','.join(RESULTS_HEADER)}")
         rows = list(reader)
+    seen = set()
     for r in rows:
         if None in r or None in r.values():
             raise ValueError(f"results file {path}: row {r['id']!r}: field count differs from the header")
+        key = (r["id"], r["measure"])
+        if key in seen:
+            raise ValueError(f"results file {path}: row {r['id']!r}: measure {r['measure']!r} repeated")
+        seen.add(key)
         cell = r["value"]
         try:
             r["value"] = float(cell) if cell else None
@@ -287,14 +279,13 @@ def cmd_classify(args) -> int:
 
 def cmd_tree(args) -> int:
     s = args.string
-    limit = _exact_guard(args)
     if not s:
         raise InputError("empty input string")
     if args.method == "huffman":
         dot = coding.huffman_tree_dot(coding.huffman(s))
     else:
         try:
-            _, pathway = assembly_index_split(s) if args.split else assembly_index_exact(s, limit=limit)
+            _, pathway = assembly_index_split(s) if args.split else assembly_index_exact(s)
         except ValueError as exc:
             raise UsageError(f"{exc}: pass --split") from None
         dot = assembly_tree_dot(pathway)
@@ -373,6 +364,8 @@ def synthetic_corpus(seed: int, size: int):
 
 
 def cmd_synthetic(args) -> int:
+    if args.size < 1:
+        raise UsageError(f"--size must be positive, got {args.size}")
     rows = synthetic_corpus(args.seed, args.size)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -401,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=int, default=0)
     p.add_argument("--boundary", choices=("ignore", "pad"), default="ignore")
     p.add_argument("--missing-block", dest="missing_block", choices=("error", "entropy"), default="error")
-    p.add_argument("--exact-guard", dest="exact_guard", type=int, default=DEFAULT_EXACT_GUARD)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("correlate", help="correlate two measures from a results CSV")
@@ -425,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("assembly", "huffman"), default="assembly")
     p.add_argument("--out", required=True)
     p.add_argument("--split", action="store_true", help="use the heuristic pathway")
-    p.add_argument("--exact-guard", dest="exact_guard", type=int, default=DEFAULT_EXACT_GUARD)
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("ctm-gen", help="enumerate the (2,2)-machine CTM table")

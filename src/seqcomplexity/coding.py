@@ -16,7 +16,6 @@ from itertools import groupby
 from ._util import dot_escape
 
 __all__ = [
-    "SymbolCounts",
     "HuffmanNode",
     "HuffmanResult",
     "LzwResult",
@@ -26,30 +25,6 @@ __all__ = [
     "lzw_encode",
     "huffman_tree_dot",
 ]
-
-
-@dataclass(frozen=True)
-class SymbolCounts:
-    """Empirical symbol frequencies: unique symbols with counts >= 1."""
-
-    entries: tuple[tuple[str, int], ...]
-    total: int
-
-    def __post_init__(self):
-        symbols = [sym for sym, _ in self.entries]
-        if len(set(symbols)) != len(symbols):
-            raise ValueError("duplicate symbol in counts")
-        if any(c < 1 for _, c in self.entries):
-            raise ValueError("counts must be >= 1")
-        if self.total != sum(c for _, c in self.entries):
-            raise ValueError("total does not match sum of counts")
-
-    @classmethod
-    def from_string(cls, s: str) -> "SymbolCounts":
-        if not s:
-            raise ValueError("empty input")
-        counts = Counter(s)  # insertion order = first occurrence in s
-        return cls(entries=tuple(counts.items()), total=len(s))
 
 
 @dataclass
@@ -108,9 +83,11 @@ def huffman(s: str) -> HuffmanResult:
     classic calculators.  A single distinct symbol is coded at 1 bit per
     occurrence with a zero-level tree.
     """
-    counts = SymbolCounts.from_string(s)
-    if len(counts.entries) == 1:
-        sym, c = counts.entries[0]
+    if not s:
+        raise ValueError("empty input")
+    counts = Counter(s)  # insertion order = first occurrence in s
+    if len(counts) == 1:
+        ((sym, c),) = counts.items()
         leaf = HuffmanNode(count=c, symbol=sym)
         return HuffmanResult(
             code_lengths={sym: 1}, total_bits=c, tree_levels=0, tree=leaf
@@ -118,7 +95,7 @@ def huffman(s: str) -> HuffmanResult:
 
     heap = []
     serial = 0
-    for sym, c in counts.entries:
+    for sym, c in counts.items():
         # priority: lower count first, then most recently created
         heapq.heappush(heap, (c, -serial, HuffmanNode(count=c, symbol=sym)))
         serial += 1
@@ -138,8 +115,8 @@ def huffman(s: str) -> HuffmanResult:
         else:
             stack.append((node.right, depth + 1))
             stack.append((node.left, depth + 1))
-    lengths = {sym: lengths[sym] for sym, _ in counts.entries}
-    total = sum(c * lengths[sym] for sym, c in counts.entries)
+    lengths = {sym: lengths[sym] for sym in counts}
+    total = sum(c * lengths[sym] for sym, c in counts.items())
     return HuffmanResult(
         code_lengths=lengths,
         total_bits=total,

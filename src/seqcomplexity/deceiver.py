@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import bdm as _bdm
 from . import coding as _coding
 # assembly_index_split is kept importable here: bench/tracing.py wraps it by name
-from .assembly import DEFAULT_EXACT_GUARD, assembly_index_split
+from .assembly import assembly_index_split
 from .ingest import text_to_bits
 from .measures import MEASURES
 
@@ -194,7 +194,7 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
 
     ``measures`` may name any string measure of
     :data:`seqcomplexity.measures.MEASURES`; ``ma_exact`` is guarded at
-    ``DEFAULT_EXACT_GUARD`` characters.  ``s`` must be exactly the output
+    25 characters.  ``s`` must be exactly the output
     of ``spec``.  ``bdm1d`` (when requested with a table) is computed over
     the UTF-8 bit expansion of ``s`` with 2-symbol blocks, so any table
     alphabet works.
@@ -209,7 +209,7 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
         if entry.ctm_dim and ctm_table is None:
             raise ValueError(f"{name} requested without a CTM table")
         x = text_to_bits(s) if entry.bits else s
-        value, _ = entry.compute(x, ctm_table, _BDM_PARAMS, DEFAULT_EXACT_GUARD)
+        value, _ = entry.compute(x, ctm_table, _BDM_PARAMS)
         values[name] = float(value)
     distinct = len(set(s))
     h = _coding.shannon_entropy(s)

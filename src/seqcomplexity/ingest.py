@@ -107,12 +107,7 @@ def load_matrix_csv(path) -> list[list[float]]:
                 rows.append([float(v) for v in raw.strip().split(",")])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric entry") from None
-    if not rows:
-        raise ValueError("empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("ragged rows")
-    return rows
+    return _rectangular(rows)
 
 
 def save_matrix_csv(m, path) -> None:
@@ -143,21 +138,17 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
             if rid in seen:
                 raise ValueError(f"duplicate id {rid!r}")
             seen.add(rid)
-            kind = row["payload_kind"]
-            if kind == "string":
-                payload = row["payload"]
-                if not payload:
-                    raise ValueError(f"row {rid!r}: empty payload")
-            elif kind == "matrix":
-                mpath = row["payload"]
-                if not os.path.isabs(mpath):
-                    mpath = os.path.join(base, mpath)
+            kind, payload = row["payload_kind"], row["payload"]
+            if kind not in ("string", "matrix"):
+                raise ValueError(f"row {rid!r}: unknown payload kind {kind!r}")
+            if not payload:  # None when the row is short
+                raise ValueError(f"row {rid!r}: empty payload")
+            if kind == "matrix":
+                mpath = os.path.join(base, payload)  # an absolute payload path is kept as is
                 try:
                     payload = load_matrix_csv(mpath)
                 except (OSError, ValueError) as exc:  # UnicodeDecodeError included
                     raise ValueError(f"row {rid!r}: matrix {mpath}: {exc}") from None
-            else:
-                raise ValueError(f"row {rid!r}: unknown payload kind {kind!r}")
             ref = row.get("reference_value") or ""
             try:
                 reference_value = float(ref) if ref else None

@@ -110,7 +110,7 @@ class TestBdm1d:
 
     def test_boundary_pad(self):
         toy = toy_table_1d()
-        params = BdmParams(block_size=2, boundary="pad", pad_symbol="0")
+        params = BdmParams(block_size=2, pad_symbol="0")
         assert bdm_1d("010", toy, params) == bdm_1d("0100", toy)
 
     def test_overlap(self):
@@ -120,12 +120,12 @@ class TestBdm1d:
         assert bdm_1d("010", toy, params) == pytest.approx(3.0 + 2.5, abs=1e-12)
 
     def test_missing_block_error_names_block(self):
-        table = CtmTable(dimension=1, alphabet_size=2, entries={"00": 2.0, "11": 2.0, "01": 3.0})
+        table = CtmTable(dimension=1, entries={"00": 2.0, "11": 2.0, "01": 3.0})
         with pytest.raises(KeyError, match="10"):
             bdm_1d("0010", table)
 
     def test_missing_block_entropy_surrogate(self):
-        table = CtmTable(dimension=1, alphabet_size=2, entries={"00": 2.0, "11": 2.0, "01": 3.0})
+        table = CtmTable(dimension=1, entries={"00": 2.0, "11": 2.0, "01": 3.0})
         params = BdmParams(block_size=2, missing_block_policy="entropy_surrogate")
         # surrogate for "10": 2 * H("10") + 1 = 3.0
         assert bdm_1d("0010", table, params) == pytest.approx(2.0 + 3.0, abs=1e-12)
@@ -170,14 +170,13 @@ class TestBdm1d:
 # every ternary block of 1-4 symbols, with distinct irrational-looking costs
 TERNARY = CtmTable(
     dimension=1,
-    alphabet_size=3,
     entries={
         "".join(block): 1.0 + math.sqrt(i + 2)
         for i, block in enumerate(b for k in range(1, 5) for b in product("012", repeat=k))
     },
 )
 # every second block dropped, so missing blocks take the entropy surrogate
-SPARSE = CtmTable(dimension=1, alphabet_size=3, entries=dict(list(TERNARY.entries.items())[::2]))
+SPARSE = CtmTable(dimension=1, entries=dict(list(TERNARY.entries.items())[::2]))
 SIZE_OVERLAP = [(size, overlap) for size in range(1, 5) for overlap in range(size)]
 
 
@@ -192,7 +191,6 @@ class TestBdm1dSlicedOracle:
         params = BdmParams(
             block_size=size,
             overlap=overlap,
-            boundary="pad" if pad else "ignore",
             pad_symbol=pad,
             missing_block_policy="entropy_surrogate",
         )
@@ -232,7 +230,7 @@ class TestBdm2d:
         assert bdm_2d(np.zeros((5, 5), int), toy_table_2d()) == pytest.approx(6.0, abs=1e-12)
 
     def test_boundary_pad_5x5(self):
-        params = BdmParams(block_shape=(2, 2), boundary="pad", pad_symbol="0")
+        params = BdmParams(block_shape=(2, 2), pad_symbol="0")
         v = bdm_2d(np.zeros((5, 5), int), toy_table_2d(), params)
         # padded to 6x6: nine identical zero blocks
         assert v == pytest.approx(4.0 + math.log2(9), abs=1e-12)
@@ -257,8 +255,8 @@ class TestBdm2d:
         (np.zeros((4, 4), int), None),
         (np.ones((2, 2), int), None),
         (np.zeros((5, 5), int), None),
-        (np.zeros((5, 5), int), BdmParams(block_shape=(2, 2), boundary="pad", pad_symbol="0")),
-        (np.indices((5, 7)).sum(axis=0) % 2, BdmParams(block_shape=(2, 2), boundary="pad", pad_symbol="1")),
+        (np.zeros((5, 5), int), BdmParams(block_shape=(2, 2), pad_symbol="0")),
+        (np.indices((5, 7)).sum(axis=0) % 2, BdmParams(block_shape=(2, 2), pad_symbol="1")),
         (
             np.array([[0, 1, 1, 0, 1], [1, 1, 0, 0, 1], [0, 0, 1, 1, 0]]),
             BdmParams(block_shape=(1, 2), missing_block_policy="entropy_surrogate"),
@@ -319,12 +317,8 @@ class TestCtmRoundTrip:
 class TestValidation:
     def test_non_positive_bits_rejected(self):
         with pytest.raises(ValueError, match="non-positive"):
-            CtmTable(dimension=1, alphabet_size=2, entries={"0": 0.0})
+            CtmTable(dimension=1, entries={"0": 0.0})
 
     def test_overlap_bounds(self):
         with pytest.raises(ValueError, match="overlap"):
             BdmParams(block_size=2, overlap=2)
-
-    def test_pad_requires_symbol(self):
-        with pytest.raises(ValueError, match="pad"):
-            BdmParams(block_size=2, boundary="pad")

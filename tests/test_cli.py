@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from seqcomplexity import coding
 from seqcomplexity._util import fmt12
@@ -51,13 +52,13 @@ class TestMeasure:
         out = str(tmp_path / "res.csv")
         assert main(["measure", "--input", str(tmp_path / "nope.csv"), "--out", out, "--measures", "entropy"]) == 1
 
-    @pytest.mark.parametrize("guard", ["0", "-1", "26", "40"])
-    def test_exact_guard_out_of_range_exits_2(self, tmp_path, capsys, guard):
-        # a 35-character payload under --exact-guard 40 would search without limit
-        data = _write_dataset(tmp_path, ["m1,c,string," + "01101" * 7 + ","])
-        out = str(tmp_path / "res.csv")
-        assert main(["measure", "--input", data, "--out", out, "--measures", "ma_exact", "--exact-guard", guard]) == 2
-        assert "--exact-guard must be in 1..25" in capsys.readouterr().err
+    def test_repeated_measure_exits_2(self, tmp_path, capsys):
+        # a repeated name would write each of its rows twice, and classify would count them twice
+        data = _write_dataset(tmp_path, ["m1,c,string,ABRA,"])
+        out = tmp_path / "res.csv"
+        assert main(["measure", "--input", data, "--out", str(out), "--measures", "entropy,entropy,lzw"]) == 2
+        assert "--measures names 'entropy' twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_abracadabra_ma_exact(self, tmp_path):
         data = _write_dataset(tmp_path, ["abra11,demo,string,ABRACADABRA,"])
@@ -271,12 +272,6 @@ class TestTree:
     def test_empty_string_exits_1(self, tmp_path):
         assert main(["tree", "--string", "", "--out", str(tmp_path / "t.dot")]) == 1
 
-    @pytest.mark.parametrize("guard", ["0", "-1", "26", "40"])
-    def test_exact_guard_out_of_range_exits_2(self, tmp_path, capsys, guard):
-        out = str(tmp_path / "t.dot")
-        assert main(["tree", "--string", "01101" * 7, "--out", out, "--exact-guard", guard]) == 2
-        assert "--exact-guard must be in 1..25" in capsys.readouterr().err
-
     def test_over_guard_suggests_split(self, tmp_path, capsys):
         out = str(tmp_path / "t.dot")
         assert main(["tree", "--string", "AB" * 30, "--method", "assembly", "--out", out]) == 2
@@ -332,6 +327,13 @@ class TestSynthetic:
         for _, _, p in rows:
             alphabet.update(p)
         assert alphabet <= set("ABCDEFGHIJKLMNOP")
+
+    @pytest.mark.parametrize("size", ["0", "-5"])
+    def test_non_positive_size_exits_2(self, tmp_path, capsys, size):
+        out = tmp_path / "c.csv"
+        assert main(["synthetic", "--size", size, "--out", str(out)]) == 2
+        assert "--size must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_different_seed_differs(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -448,6 +450,19 @@ class TestMalformedResults:
         assert main(["classify", "--input", str(path), "--group-col", "metadata"]) == 1
         assert "row 'm2': field count differs from the header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["correlate", "classify"])
+    def test_repeated_row_exits_1(self, tmp_path, capsys, command):
+        # classify would count m1's value twice in group a
+        path = tmp_path / "res.csv"
+        path.write_text(
+            "id,category,measure,value,metadata\n"
+            "m1,a,e,1,\nm2,a,e,2,\nm1,a,e,1,\nm3,b,e,3,\nm4,b,e,4,\n",
+            encoding="utf-8",
+        )
+        argv = [command, "--input", str(path)] + (["--x", "e", "--y", "e"] if command == "correlate" else [])
+        assert main(argv) == 1
+        assert "row 'm1': measure 'e' repeated" in capsys.readouterr().err
+
     def test_classify_stdout_quotes_commas(self, tmp_path, capsys):
         path = tmp_path / "res.csv"
         path.write_text(
@@ -509,6 +524,35 @@ class TestInputFiles:
         path = tmp_path / "input.csv"
         path.write_text(self.VALID[kind.partition("-")[0]], encoding="utf-8")
         assert main(self._argv(kind, str(path), tmp_path)) == 0
+
+    # each file kind's header names and cell values, with the noise a broken file carries
+    NOISE = [b",", b'"', b"nan", b"1e999", b"\xff", b"\r", b"\n", b"\r\n", b"-", b"0", b"1", b"2.5", b"x", b" "]
+    WORDS = {
+        "dataset": [b"id", b"category", b"payload_kind", b"payload", b"reference_value", b"string", b"matrix", b"m1"],
+        "results": [b"id", b"category", b"measure", b"value", b"metadata", b"e", b"a", b"b", b"m1", b"m2"],
+        "matrix": [],
+        "CTM table": [b"block", b"ctm_bits", b"rows", b"cols", b"01", b"0101"],
+    }
+
+    @pytest.mark.parametrize("kind", ["dataset", "results-correlate", "results-classify", "matrix", "CTM table"])
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_file_exits_with_message(self, tmp_path, capsys, kind, data):
+        what = kind.partition("-")[0]
+        # start from the valid file's header line half of the time, so the rows get parsed too
+        header = data.draw(st.sampled_from([b"", self.VALID[what].encode("utf-8").partition(b"\n")[0] + b"\n"]))
+        body = data.draw(st.lists(st.sampled_from(self.NOISE + self.WORDS[what]), max_size=40))
+        content = header + b"".join(body)
+        path = tmp_path / "input.csv"
+        path.write_bytes(content)
+        capsys.readouterr()
+        code = main(self._argv(kind, str(path), tmp_path))
+        err = capsys.readouterr().err
+        if b"\xff" in content:
+            assert code == 1
+        # a fragment file can still be well formed (nan is a real matrix entry)
+        assert code in (0, 1, 2)
+        assert (err.startswith("error: ") and err.count("\n") == 1) if code else not err
 
 
 def _sha256(path):

@@ -1,11 +1,11 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from seqcomplexity.coding import (
-    SymbolCounts,
     huffman,
     huffman_tree_dot,
     lzw_encode,
@@ -86,13 +86,13 @@ class TestHuffman:
     @given(TEXT)
     def test_total_bits_consistent_with_lengths(self, s):
         res = huffman(s)
-        counts = SymbolCounts.from_string(s)
-        assert res.total_bits == sum(c * res.code_lengths[sym] for sym, c in counts.entries)
+        counts = Counter(s)
+        assert res.total_bits == sum(c * res.code_lengths[sym] for sym, c in counts.items())
         assert res.tree_levels == max(res.code_lengths.values()) if len(res.code_lengths) > 1 else True
 
     @given(TEXT)
     def test_optimality_against_brute_force(self, s):
-        counts = dict(SymbolCounts.from_string(s).entries)
+        counts = Counter(s)
         if len(counts) <= 5 and len(s) <= 12:
             assert huffman(s).total_bits == oracles.brute_force_prefix_code_bits(counts)
 
@@ -102,7 +102,7 @@ class TestHuffman:
             k = rng.randint(1, 4)
             alphabet = "WXYZ"[:k]
             s = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 10)))
-            counts = dict(SymbolCounts.from_string(s).entries)
+            counts = Counter(s)
             assert huffman(s).total_bits == oracles.brute_force_prefix_code_bits(counts)
 
     def test_internal_node_count(self):

@@ -165,6 +165,13 @@ class TestDatasetIo:
         records = load_dataset(path)
         assert records[0].payload == [[1.0, 2.0], [3.0, 4.0]]
 
+    @pytest.mark.parametrize("row", ["m1,c,matrix", "m1,c,matrix,,", "m1,c,string,,"])
+    def test_missing_payload_names_row(self, tmp_path, row):
+        # a short matrix row once reached os.path with a None path
+        path = self._write(tmp_path, [row])
+        with pytest.raises(ValueError, match="row 'm1': empty payload"):
+            load_dataset(path)
+
     def test_unreadable_matrix_path(self, tmp_path):
         path = self._write(tmp_path, ["m1,c,matrix,missing.csv,"])
         with pytest.raises(ValueError, match="m1"):
