@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from . import coding
 from ._util import sig12
+from .ingest import _csv_rows, _finite
 
 __all__ = [
     "CtmTable",
@@ -35,6 +36,7 @@ __all__ = [
 _HALT_WRITE_0 = 8
 _HALT_WRITE_1 = 9
 _MIN_STEP_BOUND = 6  # maximum steps a halting (2,2) machine actually needs
+_CTM_HEADERS = {1: ["block", "ctm_bits"], 2: ["rows", "cols", "block", "ctm_bits"]}
 
 
 @dataclass(eq=True)
@@ -276,40 +278,23 @@ def ctm_save(table: CtmTable, path) -> None:
 
 def ctm_load(path) -> CtmTable:
     """Load a CTM table CSV written by :func:`ctm_save` (or hand-made)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("empty file: missing header")
-    header = lines[0].strip()
-    if header == "block,ctm_bits":
-        dimension = 1
-    elif header == "rows,cols,block,ctm_bits":
-        dimension = 2
-    else:
-        raise ValueError(f"line 1: unrecognized header {header!r}")
+    header, rows = _csv_rows(path, _CTM_HEADERS[1])
+    dimension = 2 if len(header) == 4 else 1
+    if header != _CTM_HEADERS[dimension]:
+        raise ValueError(f"unrecognized header {','.join(header)!r}")
     entries = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split(",")
-        try:
-            if dimension == 1:
-                if len(parts) != 2:
-                    raise ValueError("expected 2 fields")
-                block, bits = parts[0], float(parts[1])
-                key = block
-            else:
-                if len(parts) != 4:
-                    raise ValueError("expected 4 fields")
-                r, c, block = int(parts[0]), int(parts[1]), parts[2]
-                bits = float(parts[3])
-                if r * c != len(block):
-                    raise ValueError("block length does not match rows*cols")
-                key = (r, c, block)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+    for where, cells in rows:
+        block, bits = cells[-2], _finite(cells[-1], where, "ctm_bits")
+        key = block
+        if dimension == 2:
+            try:
+                key = (int(cells[0]), int(cells[1]), block)
+            except ValueError:
+                raise ValueError(f"{where}: non-integer rows or cols") from None
+            if key[0] * key[1] != len(block):
+                raise ValueError(f"{where}: block length does not match rows*cols")
         if key in entries:
-            raise ValueError(f"line {lineno}: duplicate block {block!r}")
+            raise ValueError(f"{where}: duplicate block {block!r}")
         entries[key] = sig12(bits)
     if not entries:
         raise ValueError("empty table: header only")

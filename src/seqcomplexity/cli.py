@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import math
 import random
 import sys
 from dataclasses import dataclass, field
@@ -20,12 +19,13 @@ from . import coding, deceiver, stats
 from .assembly import assembly_index_exact, assembly_index_split, assembly_tree_dot
 from .ingest import (
     DATASET_HEADER,
-    RESULTS_HEADER,
     binarize_matrix,
     load_dataset,
     load_matrix_csv,
+    load_results,
     save_matrix_csv,
     text_to_bits,
+    write_csv,
     write_results,
 )
 from ._util import fmt12
@@ -167,35 +167,8 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _load_results(path):
-    """Rows of a results CSV, with ``value`` parsed to a finite float (None
-    if empty); a missing header, a bad value or a repeated ``(id, measure)``
-    row raises ValueError."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if set(RESULTS_HEADER) - set(reader.fieldnames or []):
-            raise ValueError(f"results file {path} lacks header {','.join(RESULTS_HEADER)}")
-        rows = list(reader)
-    seen = set()
-    for r in rows:
-        if None in r or None in r.values():
-            raise ValueError(f"results file {path}: row {r['id']!r}: field count differs from the header")
-        key = (r["id"], r["measure"])
-        if key in seen:
-            raise ValueError(f"results file {path}: row {r['id']!r}: measure {r['measure']!r} repeated")
-        seen.add(key)
-        cell = r["value"]
-        try:
-            r["value"] = float(cell) if cell else None
-        except ValueError:
-            raise ValueError(f"results file {path}: row {r['id']!r}: non-numeric value {cell!r}") from None
-        if cell and not math.isfinite(r["value"]):
-            raise ValueError(f"results file {path}: row {r['id']!r}: non-finite value {cell!r}")
-    return rows
-
-
 def cmd_correlate(args) -> int:
-    rows = _read("results", _load_results, args.input)
+    _, rows = _read(f"results file {args.input}", load_results, args.input)
     present = {r["measure"] for r in rows}
     for m in (args.x, args.y):
         if m not in present:
@@ -227,17 +200,17 @@ def cmd_correlate(args) -> int:
         f"df={df} p_one={p_one} p_two={p_two} ci=[{ci_low},{ci_high}]"
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "method", "n", "statistic", "df", "p_one_tail", "p_two_tail", "ci_low", "ci_high"])
-            writer.writerow([args.x, args.y, args.method, len(shared), *cells])
+        write_csv(args.out, [
+            ["x", "y", "method", "n", "statistic", "df", "p_one_tail", "p_two_tail", "ci_low", "ci_high"],
+            [args.x, args.y, args.method, len(shared), *cells],
+        ])
     return 0
 
 
 def cmd_classify(args) -> int:
-    rows = _read("results", _load_results, args.input)
+    columns, rows = _read(f"results file {args.input}", load_results, args.input)
     group_col = args.group_col
-    if rows and group_col not in rows[0]:
+    if group_col not in columns:
         raise UsageError(f"group column {group_col!r} not in results file")
     measures, groups = [], []
     values = {}
@@ -272,8 +245,7 @@ def cmd_classify(args) -> int:
     table = [header, *out_rows]
     csv.writer(sys.stdout, lineterminator="\n").writerows(table)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows(table)
+        write_csv(args.out, table)
     return 0
 
 
@@ -367,11 +339,7 @@ def cmd_synthetic(args) -> int:
     if args.size < 1:
         raise UsageError(f"--size must be positive, got {args.size}")
     rows = synthetic_corpus(args.seed, args.size)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DATASET_HEADER)
-        for rid, cat, payload in rows:
-            writer.writerow([rid, cat, "string", payload, ""])
+    write_csv(args.out, [DATASET_HEADER, *([rid, cat, "string", payload, ""] for rid, cat, payload in rows)])
     return 0
 
 

@@ -1,5 +1,6 @@
-"""Dataset loading and preprocessing: CSV datasets, text binarization,
-matrix thresholding, and minimal V2000 molfile parsing.
+"""File input and preprocessing: the one CSV reader behind every input
+file (datasets, results, matrices and CTM tables), the CSV writer, text
+binarization, matrix thresholding, and minimal V2000 molfile parsing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ __all__ = [
     "binarize_matrix",
     "sdf_distance_matrix",
     "load_dataset",
+    "load_results",
     "write_results",
+    "write_csv",
     "load_matrix_csv",
     "save_matrix_csv",
 ]
@@ -39,6 +42,51 @@ class DatasetRecord:
     payload_kind: str  # "string" or "matrix"
     payload: "str | list[list[float]]"  # a matrix is a list of rows
     reference_value: float | None = None
+
+
+def _csv_rows(path, columns):
+    """The header and the ``(where, cells)`` rows of the UTF-8 CSV file at ``path``.
+
+    The first non-blank line is the header, and it must name every column in
+    ``columns``; with no ``columns`` the file has no header.  Blank lines are
+    skipped, and a row whose field count differs from the header's raises
+    ValueError.  ``where`` names a row by its ``id`` cell when the header has
+    an ``id`` column, otherwise by its line number.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        lines = ((reader.line_num, cells) for cells in reader if len(cells) > 1 or cells and cells[0].strip())
+        header = []
+        if columns:
+            lineno, header = next(lines, (1, []))
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ValueError(f"line {lineno}: header lacks {', '.join(missing)}")
+        key = header.index("id") if "id" in header else None
+        rows = []
+        for lineno, cells in lines:
+            where = f"row {cells[key]!r}" if key is not None and key < len(cells) else f"line {lineno}"
+            if header and len(cells) != len(header):
+                raise ValueError(f"{where}: field count differs from the header")
+            rows.append((where, cells))
+    return header, rows
+
+
+def _finite(cell, where, what) -> float:
+    """``cell`` as a finite float; otherwise a ValueError naming ``where`` and ``what``."""
+    try:
+        x = float(cell)
+    except ValueError:
+        raise ValueError(f"{where}: non-numeric {what} {cell!r}") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{where}: non-finite {what} {cell!r}")
+    return x
+
+
+def write_csv(path, rows) -> None:
+    """Write ``rows`` to ``path`` in the csv module's default dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def text_to_bits(s: str) -> str:
@@ -86,10 +134,7 @@ def sdf_distance_matrix(sdf_text: str) -> list[list[float]]:
         fields = lines[4 + k].split()
         if len(fields) < 3:
             raise ValueError(f"line {lineno}: expected x y z coordinates")
-        try:
-            coords.append((float(fields[0]), float(fields[1]), float(fields[2])))
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric coordinate") from None
+        coords.append([_finite(v, f"line {lineno}", "coordinate") for v in fields[:3]])
     return [
         [math.sqrt((ax - bx) * (ax - bx) + (ay - by) * (ay - by) + (az - bz) * (az - bz)) for bx, by, bz in coords]
         for ax, ay, az in coords
@@ -97,17 +142,9 @@ def sdf_distance_matrix(sdf_text: str) -> list[list[float]]:
 
 
 def load_matrix_csv(path) -> list[list[float]]:
-    """Read a headerless comma-separated matrix of reals as a list of rows."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                rows.append([float(v) for v in raw.strip().split(",")])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-numeric entry") from None
-    return _rectangular(rows)
+    """Read a headerless comma-separated matrix of finite reals as a list of rows."""
+    _, rows = _csv_rows(path, ())
+    return _rectangular([[_finite(v, where, "entry") for v in cells] for where, cells in rows])
 
 
 def save_matrix_csv(m, path) -> None:
@@ -126,50 +163,58 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
     payload kinds are rejected by name.
     """
     base = os.path.dirname(os.path.abspath(csv_path))
+    header, rows = _csv_rows(csv_path, DATASET_HEADER)
     records = []
     seen = set()
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(DATASET_HEADER) - set(reader.fieldnames or [])
-        if missing:
-            raise ValueError(f"dataset header missing columns: {sorted(missing)}")
-        for row in reader:
-            rid = row["id"]
-            if rid in seen:
-                raise ValueError(f"duplicate id {rid!r}")
-            seen.add(rid)
-            kind, payload = row["payload_kind"], row["payload"]
-            if kind not in ("string", "matrix"):
-                raise ValueError(f"row {rid!r}: unknown payload kind {kind!r}")
-            if not payload:  # None when the row is short
-                raise ValueError(f"row {rid!r}: empty payload")
-            if kind == "matrix":
-                mpath = os.path.join(base, payload)  # an absolute payload path is kept as is
-                try:
-                    payload = load_matrix_csv(mpath)
-                except (OSError, ValueError) as exc:  # UnicodeDecodeError included
-                    raise ValueError(f"row {rid!r}: matrix {mpath}: {exc}") from None
-            ref = row.get("reference_value") or ""
+    for where, cells in rows:
+        row = dict(zip(header, cells))
+        rid = row["id"]
+        if rid in seen:
+            raise ValueError(f"duplicate id {rid!r}")
+        seen.add(rid)
+        kind, payload = row["payload_kind"], row["payload"]
+        if kind not in ("string", "matrix"):
+            raise ValueError(f"{where}: unknown payload kind {kind!r}")
+        if not payload:
+            raise ValueError(f"{where}: empty payload")
+        if kind == "matrix":
+            mpath = os.path.join(base, payload)  # an absolute payload path is kept as is
             try:
-                reference_value = float(ref) if ref else None
-            except ValueError:
-                raise ValueError(f"row {rid!r}: non-numeric reference_value {ref!r}") from None
-            records.append(
-                DatasetRecord(
-                    id=rid,
-                    category=row["category"],
-                    payload_kind=kind,
-                    payload=payload,
-                    reference_value=reference_value,
-                )
+                payload = load_matrix_csv(mpath)
+            except (OSError, ValueError) as exc:  # UnicodeDecodeError included
+                raise ValueError(f"{where}: matrix {mpath}: {exc}") from None
+        ref = row["reference_value"]
+        records.append(
+            DatasetRecord(
+                id=rid,
+                category=row["category"],
+                payload_kind=kind,
+                payload=payload,
+                reference_value=_finite(ref, where, "reference_value") if ref else None,
             )
+        )
     return records
+
+
+def load_results(csv_path):
+    """The header and the rows of a results CSV, each row a dict keyed by the
+    header with ``value`` parsed to a finite float (None if empty); a
+    repeated ``(id, measure)`` row raises ValueError."""
+    header, rows = _csv_rows(csv_path, RESULTS_HEADER)
+    results = []
+    seen = set()
+    for where, cells in rows:
+        row = dict(zip(header, cells))
+        key = (row["id"], row["measure"])
+        if key in seen:
+            raise ValueError(f"{where}: measure {row['measure']!r} repeated")
+        seen.add(key)
+        cell = row["value"]
+        row["value"] = _finite(cell, where, "value") if cell else None
+        results.append(row)
+    return header, results
 
 
 def write_results(rows, csv_path) -> None:
     """Write measure rows (``id,category,measure,value,metadata``) to CSV."""
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for rid, category, measure, value, metadata in rows:
-            writer.writerow([rid, category, measure, fmt12(value), metadata])
+    write_csv(csv_path, [RESULTS_HEADER, *([rid, cat, m, fmt12(v), meta] for rid, cat, m, v, meta in rows)])

@@ -313,6 +313,12 @@ class TestCtmRoundTrip:
         with pytest.raises(ValueError, match="line 1"):
             ctm_load(path)
 
+    def test_header_with_extra_column_rejected(self, tmp_path):
+        path = tmp_path / "hdr.csv"
+        path.write_text("block,ctm_bits,note\n01,2.0,x\n")
+        with pytest.raises(ValueError, match="unrecognized header 'block,ctm_bits,note'"):
+            ctm_load(path)
+
 
 class TestValidation:
     def test_non_positive_bits_rejected(self):

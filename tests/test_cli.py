@@ -201,6 +201,13 @@ class TestClassify:
             fields = line.split(",")
             assert float(fields[6]) == 1.0  # disjoint ranges: D = 1
 
+    def test_group_column_absent_from_header_exits_2(self, tmp_path, capsys):
+        # with no rows to look at, the header alone names the columns
+        path = tmp_path / "r.csv"
+        path.write_text("id,category,measure,value,metadata\n", encoding="utf-8")
+        assert main(["classify", "--input", str(path), "--group-col", "group"]) == 2
+        assert "group column 'group' not in results file" in capsys.readouterr().err
+
     def test_single_group_exits_2(self, tmp_path):
         data = _write_dataset(tmp_path, ["m1,g1,string,ABAB,", "m2,g1,string,BABA,"])
         res = str(tmp_path / "r.csv")
@@ -402,7 +409,7 @@ class TestMeasureFailures:
         out = tmp_path / "o.csv"
         code = main(["measure", "--input", data, "--out", str(out), "--measures", "bdm1d", "--ctm-table", str(table)])
         assert code == 1
-        assert "CTM table: non-positive or non-finite ctm_bits for block '1'" in capsys.readouterr().err
+        assert f"CTM table: line 3: non-finite ctm_bits '{bits}'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -492,6 +499,13 @@ class TestInputFiles:
         "matrix": "1,4\n3,x\n",
         "CTM table": "block,bits\n0,1.5\n",
     }
+    # a well-formed header over a row with an extra field or a non-finite entry
+    BAD_ROW = {
+        "dataset": "id,category,payload_kind,payload,reference_value\nm1,c,string,AB,,x\n",
+        "results": "id,category,measure,value,metadata\nm1,a,e,1,,x\nm2,b,e,2,\nm3,b,e,3,\n",
+        "matrix": "nan,1\n1e999,0\n",
+        "CTM table": "block,ctm_bits\n0,1.5,x\n1,1.5\n",
+    }
 
     def _argv(self, kind, path, tmp_path):
         out = str(tmp_path / "out.csv")
@@ -507,7 +521,7 @@ class TestInputFiles:
         return ["measure", "--input", dataset, "--out", out, "--measures", "bdm1d", "--block", "1", "--ctm-table", path]
 
     @pytest.mark.parametrize("kind", ["dataset", "results-correlate", "results-classify", "matrix", "CTM table"])
-    @pytest.mark.parametrize("case", ["missing", "non_utf8", "malformed"])
+    @pytest.mark.parametrize("case", ["missing", "non_utf8", "malformed", "bad_row"])
     def test_bad_file_exits_1(self, tmp_path, capsys, kind, case):
         what = kind.partition("-")[0]
         path = tmp_path / "input.csv"
@@ -515,6 +529,8 @@ class TestInputFiles:
             path.write_bytes(self.VALID[what].encode("utf-8") + b"\xff\xfe\n")
         elif case == "malformed":
             path.write_text(self.MALFORMED[what], encoding="utf-8")
+        elif case == "bad_row":
+            path.write_text(self.BAD_ROW[what], encoding="utf-8")
         assert main(self._argv(kind, str(path), tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and what in err
@@ -550,7 +566,7 @@ class TestInputFiles:
         err = capsys.readouterr().err
         if b"\xff" in content:
             assert code == 1
-        # a fragment file can still be well formed (nan is a real matrix entry)
+        # a fragment file can still be well formed
         assert code in (0, 1, 2)
         assert (err.startswith("error: ") and err.count("\n") == 1) if code else not err
 

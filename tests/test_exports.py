@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +15,26 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def _reads_a_file(call):
+    """Whether ``call`` is an ``open`` call whose mode can read: no mode, a
+    mode that is not a constant, or one with ``r`` or ``+``."""
+    func = call.func
+    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(set(mode.value) & set("r+"))
+
+
+def test_only_ingest_opens_files_for_reading():
+    """Every input file goes through the one CSV reader in ``ingest``."""
+    package = Path(seqcomplexity.__file__).parent
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "ingest.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and _reads_a_file(node)
+    ]
+    assert not readers

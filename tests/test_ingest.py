@@ -103,9 +103,10 @@ class TestSdf:
         with pytest.raises(ValueError, match="line 4"):
             sdf_distance_matrix("m\n\n\nxyz\n")
 
-    def test_non_numeric_coordinate_line(self):
-        text = "m\n\n\n  1  0  0\n a b c C\n"
-        with pytest.raises(ValueError, match="line 5"):
+    @pytest.mark.parametrize("x, problem", [("a", "non-numeric"), ("nan", "non-finite"), ("1e999", "non-finite")])
+    def test_non_numeric_coordinate_line(self, x, problem):
+        text = f"m\n\n\n  1  0  0\n 0 {x} 0 C\n"
+        with pytest.raises(ValueError, match=f"^line 5: {problem} coordinate '{x}'$"):
             sdf_distance_matrix(text)
 
     @given(
@@ -167,9 +168,10 @@ class TestDatasetIo:
 
     @pytest.mark.parametrize("row", ["m1,c,matrix", "m1,c,matrix,,", "m1,c,string,,"])
     def test_missing_payload_names_row(self, tmp_path, row):
-        # a short matrix row once reached os.path with a None path
+        # a short row fails the field count before its payload is looked at
         path = self._write(tmp_path, [row])
-        with pytest.raises(ValueError, match="row 'm1': empty payload"):
+        problem = "empty payload" if row.count(",") == 4 else "field count differs from the header"
+        with pytest.raises(ValueError, match=f"^row 'm1': {problem}$"):
             load_dataset(path)
 
     def test_unreadable_matrix_path(self, tmp_path):
@@ -177,16 +179,17 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match="m1"):
             load_dataset(path)
 
-    @pytest.mark.parametrize("content", [b"1,2\n\xff\n", b"1,2\n3,x\n"])
+    @pytest.mark.parametrize("content", [b"1,2\n\xff\n", b"1,2\n3,x\n", b"nan,1\n1,0\n", b"1,2\n1e999,0\n"])
     def test_bad_matrix_file_names_row_and_file(self, tmp_path, content):
         (tmp_path / "m.csv").write_bytes(content)
         path = self._write(tmp_path, ["m1,c,matrix,m.csv,"])
         with pytest.raises(ValueError, match="^" + re.escape(f"row 'm1': matrix {tmp_path / 'm.csv'}: ")):
             load_dataset(path)
 
-    def test_bad_reference_value_names_row(self, tmp_path):
-        path = self._write(tmp_path, ["m1,c,string,AB,", "m2,c,string,CD,notanumber"])
-        with pytest.raises(ValueError, match="row 'm2': non-numeric reference_value 'notanumber'"):
+    @pytest.mark.parametrize("cell, problem", [("notanumber", "non-numeric"), ("nan", "non-finite"), ("1e999", "non-finite")])
+    def test_bad_reference_value_names_row(self, tmp_path, cell, problem):
+        path = self._write(tmp_path, ["m1,c,string,AB,", f"m2,c,string,CD,{cell}"])
+        with pytest.raises(ValueError, match=f"row 'm2': {problem} reference_value '{cell}'"):
             load_dataset(path)
 
     def test_write_results_format(self, tmp_path):
