@@ -200,24 +200,41 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     if len(s) < size:
         raise ValueError(f"input shorter than block size {size}")
     alphabet = table.alphabet
-    bad = set(s) - alphabet
+    stride = size - params.overlap
+    n = (len(s) - size) // stride + 1
+
+    # Blocks are counted in runs of k consecutive blocks, k chosen so that
+    # a run spans about 8 bits of symbols: few runs are distinct, and one
+    # Counter entry stands for k blocks.  Run r starts at r*k*stride, so its
+    # j-th symbol is the r-th symbol of s[j::k*stride]: zipping those columns
+    # counts the runs without slicing them out.  Each distinct run is then
+    # split into its k blocks, and the fewer than k blocks left over are
+    # counted one by one; k == 1 counts the blocks themselves.
+    # A block first occurs in a run that first occurs there, at the same
+    # place in it, and Counter keeps first-occurrence order; so blocks enter
+    # ``counts`` in the order of their first occurrence in the block
+    # sequence, and ``_aggregate`` sums the same terms in the same order.
+    k = max(1, 8 // (stride * max(1, (len(alphabet) - 1).bit_length())))
+    m = n // k
+    runs = Counter(zip(*(s[j :: k * stride][:m] for j in range((k - 1) * stride + size))))
+    counts = Counter()
+    for run, c in runs.items():
+        run = "".join(run)
+        for i in range(0, k * stride, stride):
+            counts[run[i : i + size]] += c
+    for i in range(m * k * stride, n * stride, stride):
+        counts[s[i : i + size]] += 1
+
+    # the blocks hold every symbol of s before the tail they leave out
+    tail = n * stride
+    bad = set(s[tail:]).union(*counts) - alphabet
     if bad:
         raise ValueError(f"symbols {sorted(bad)} not in table alphabet")
     pad = params.pad_symbol
     if pad is not None and pad not in alphabet:
         raise ValueError("pad symbol not in table alphabet")
-
-    # Block k is s[k*stride : k*stride + size], so its j-th symbol is the
-    # k-th symbol of s[j::stride]: zipping those columns counts every block
-    # without slicing it out.  Counter keeps first-occurrence order, so the
-    # sum runs over distinct blocks in the order of the block sequence.
-    stride = size - params.overlap
-    n = (len(s) - size) // stride + 1
-    counts = Counter(zip(*(s[j::stride][:n] for j in range(size))))
-    counts = Counter({"".join(block): c for block, c in counts.items()})
-    i = n * stride
-    if i < len(s) and pad is not None:
-        counts[(s[i:] + pad * size)[:size]] += 1
+    if tail < len(s) and pad is not None:
+        counts[(s[tail:] + pad * size)[:size]] += 1
     return _aggregate(counts, table, params.missing_block_policy)
 
 

@@ -118,7 +118,7 @@ def _build_config(args) -> RunConfig:
         raise UsageError("--toy-ctm and --ctm-table are mutually exclusive")
     tables = (bdm_mod.toy_table_1d(), bdm_mod.toy_table_2d()) if args.toy_ctm else ()
     if args.ctm_table:
-        tables = (_read("CTM table", bdm_mod.ctm_load, args.ctm_table),)
+        tables = (_read(f"CTM table {args.ctm_table}", bdm_mod.ctm_load, args.ctm_table),)
     config = RunConfig(
         measures=measures,
         ctm_tables={t.dimension: t for t in tables},
@@ -157,7 +157,7 @@ def cmd_measure(args) -> int:
     config = _build_config(args)
     if not config.measures:
         raise UsageError("--measures is required")
-    records = _read("dataset", load_dataset, args.input)
+    records = _read(f"dataset {args.input}", load_dataset, args.input)
     rows = [
         (record.id, record.category, measure, *compute_measure(record, measure, config))
         for record in records

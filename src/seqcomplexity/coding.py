@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
 
 from ._util import dot_escape
 
@@ -25,6 +25,8 @@ __all__ = [
     "lzw_encode",
     "huffman_tree_dot",
 ]
+
+_REPEATED_RUN = re.compile(r"(.)\1+", re.S)
 
 
 @dataclass
@@ -132,7 +134,19 @@ def rle_encode(s: str) -> tuple[str, int]:
     digits (encode("011") == encode("0" * 112) == "0112"); it is a length
     measure, not a codec.
     """
-    encoded = "".join(f"{ch}{len(list(run))}" for ch, run in groupby(s))
+    # Between two runs of two or more, every run has length one, so such a
+    # stretch encodes as its symbols each followed by "1".
+    parts = []
+    i = 0
+    for match in _REPEATED_RUN.finditer(s):
+        start, end = match.span()
+        if start > i:
+            parts += ("1".join(s[i:start]), "1")
+        parts.append(f"{s[start]}{end - start}")
+        i = end
+    if i < len(s):
+        parts += ("1".join(s[i:]), "1")
+    encoded = "".join(parts)
     return encoded, len(encoded)
 
 
@@ -151,11 +165,12 @@ def lzw_encode(s: str) -> LzwResult:
     codes = []
     w = s[0]
     for ch in s[1:]:
-        if w + ch in table:
-            w += ch
+        wch = w + ch
+        if wch in table:
+            w = wch
         else:
             codes.append(table[w])
-            table[w + ch] = len(table)
+            table[wch] = len(table)
             w = ch
     codes.append(table[w])
     width = math.ceil(math.log2(len(table))) if len(table) > 1 else 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice, product
 
 from . import bdm as _bdm
 from . import coding as _coding
@@ -37,28 +38,24 @@ DEFAULT_MEASURES = ("entropy", "huffman", "rle", "lzw", "ma_split")
 _BDM_PARAMS = _bdm.BdmParams(block_size=2)
 
 
-def _to_base(n: int, base: int) -> str:
-    out = []
-    while n:
-        out.append(_DIGITS[n % base])
-        n //= base
-    return "".join(reversed(out))
-
-
 def champernowne(n: int, base: int = 10) -> str:
     """First ``n`` characters of the digits of 1, 2, 3, ... written in ``base``."""
     if not 2 <= base <= 36:
         raise ValueError("base out of range [2, 36]")
     if n < 0:
         raise ValueError("n must be non-negative")
+    # the d-digit numbers in increasing order are the d-tuples of digits
+    # with a nonzero lead, in lexicographic order
+    digits = _DIGITS[:base]
     parts = []
     total = 0
-    k = 1
+    d = 1
     while total < n:
-        digits = _to_base(k, base)
-        parts.append(digits)
-        total += len(digits)
-        k += 1
+        numbers = product(digits[1:], *[digits] * (d - 1))
+        part = "".join(chain.from_iterable(islice(numbers, -(-(n - total) // d))))
+        parts.append(part)
+        total += len(part)
+        d += 1
     return "".join(parts)[:n]
 
 
@@ -212,7 +209,7 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
         value, _ = entry.compute(x, ctm_table, _BDM_PARAMS)
         values[name] = float(value)
     distinct = len(set(s))
-    h = _coding.shannon_entropy(s)
+    h = values["entropy"] if "entropy" in values else _coding.shannon_entropy(s)
     norm = h / math.log2(distinct) if distinct > 1 else 0.0
     return DivergenceReport(
         measures=values,

@@ -252,6 +252,24 @@ def lz77_phrases(s):
     return phrases
 
 
+def champernowne_by_number(n, base):
+    """First ``n`` characters of 1, 2, 3, ... written in ``base``, one
+    number at a time, its digits peeled off by divmod."""
+    digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+    out = []
+    total = 0
+    k = 0
+    while total < n:
+        k += 1
+        x, spelled = k, []
+        while x:
+            x, d = divmod(x, base)
+            spelled.append(digits[d])
+        out.append("".join(reversed(spelled)))
+        total += len(spelled)
+    return "".join(out)[:n]
+
+
 def rle_runs_encode(s):
     """Run-length code of ``s`` (symbol, then decimal run length), read
     off the maximal runs that a backreference regex matches."""

@@ -177,17 +177,43 @@ TERNARY = CtmTable(
 )
 # every second block dropped, so missing blocks take the entropy surrogate
 SPARSE = CtmTable(dimension=1, entries=dict(list(TERNARY.entries.items())[::2]))
+# every binary block of 1-4 symbols: bdm_1d counts runs of 8 // stride blocks
+BINARY = CtmTable(
+    dimension=1,
+    entries={
+        "".join(block): 1.0 + math.sqrt(i + 2)
+        for i, block in enumerate(b for k in range(1, 5) for b in product("01", repeat=k))
+    },
+)
+# 16 symbols, blocks of 1-2 only: runs of one block from stride 2 on
+HEX = CtmTable(
+    dimension=1,
+    entries={
+        "".join(block): 1.0 + math.sqrt(i + 2)
+        for i, block in enumerate(b for k in (1, 2) for b in product("0123456789abcdef", repeat=k))
+    },
+)
 SIZE_OVERLAP = [(size, overlap) for size in range(1, 5) for overlap in range(size)]
 
 
-class TestBdm1dSlicedOracle:
-    """bdm_1d counts blocks column by column; the oracle slices out every block."""
+def _blocks_per_run(table, stride):
+    """Blocks that bdm_1d counts as one run: about 8 bits of symbols."""
+    return max(1, 8 // (stride * max(1, (len(table.alphabet) - 1).bit_length())))
 
-    @pytest.mark.parametrize("table", [TERNARY, SPARSE], ids=["full", "sparse"])
+
+class TestBdm1dSlicedOracle:
+    """bdm_1d counts runs of blocks column by column; the oracle slices out every block."""
+
+    @pytest.mark.parametrize(
+        "table", [TERNARY, SPARSE, BINARY, HEX], ids=["full", "sparse", "binary", "hex"]
+    )
     @pytest.mark.parametrize("size, overlap", SIZE_OVERLAP)
-    @given(s=st.text(alphabet="012", min_size=4, max_size=120), pad=st.sampled_from([None, "0", "2"]))
+    @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_equals_sliced_blocks(self, table, size, overlap, s, pad):
+    def test_equals_sliced_blocks(self, table, size, overlap, data):
+        symbols = "".join(sorted(table.alphabet))
+        s = data.draw(st.text(alphabet=symbols, min_size=4, max_size=120), label="s")
+        pad = data.draw(st.sampled_from([None, symbols[0], symbols[-1]]), label="pad")
         params = BdmParams(
             block_size=size,
             overlap=overlap,
@@ -196,6 +222,55 @@ class TestBdm1dSlicedOracle:
         )
         want = oracles.bdm_1d_sliced(s, table.entries, size, overlap, pad, surrogate=True)
         assert bdm_1d(s, table, params) == want
+
+    @pytest.mark.parametrize("table", [TERNARY, BINARY, HEX], ids=["ternary", "binary", "hex"])
+    @pytest.mark.parametrize("size, overlap", SIZE_OVERLAP)
+    def test_every_leftover_block_count(self, table, size, overlap):
+        # n blocks are counted as n // k runs of k and n % k single blocks
+        stride = size - overlap
+        k = _blocks_per_run(table, stride)
+        symbols = sorted(table.alphabet)
+        rng = random.Random(size * 10 + overlap)
+        for runs in (0, 1, 7):
+            for left in range(k):
+                n = runs * k + left
+                if n == 0:
+                    continue
+                # the tail after the last block is shorter than a stride
+                length = (n - 1) * stride + size + rng.randrange(stride)
+                pool = symbols[: rng.choice([2, len(symbols)])]
+                s = "".join(rng.choice(pool) for _ in range(length))
+                for pad in (None, symbols[-1]):
+                    params = BdmParams(
+                        block_size=size,
+                        overlap=overlap,
+                        pad_symbol=pad,
+                        missing_block_policy="entropy_surrogate",
+                    )
+                    want = oracles.bdm_1d_sliced(s, table.entries, size, overlap, pad, surrogate=True)
+                    assert bdm_1d(s, table, params) == want, (s, pad)
+
+    def test_blocks_per_run_covers_every_k(self):
+        strides = range(1, 5)
+        assert {_blocks_per_run(BINARY, d) for d in strides} == {8, 4, 2}
+        assert {_blocks_per_run(HEX, d) for d in strides} == {2, 1}
+
+    # the symbol outside the alphabet sits after the last block, where no
+    # block and, without a pad symbol, no padded block ever reads it
+    @pytest.mark.parametrize(
+        "s, size",
+        [("01012", 2), ("01" * 4 + "2", 2), ("0" * 18 + "2", 3), ("0" * 16 + "12", 4)],
+        ids=["no-run", "one-run-of-4", "runs-of-2", "runs-of-2-size-4"],
+    )
+    def test_bad_symbol_only_in_dropped_tail_rejected(self, s, size):
+        with pytest.raises(ValueError, match=r"symbols \['2'\] not in table alphabet"):
+            bdm_1d(s, BINARY, BdmParams(block_size=size))
+
+    # ... and here in a block left over after the last whole run
+    @pytest.mark.parametrize("s, size", [("0" * 8 + "20", 2), ("0" * 16 + "2", 1)])
+    def test_bad_symbol_only_in_leftover_block_rejected(self, s, size):
+        with pytest.raises(ValueError, match=r"symbols \['2'\] not in table alphabet"):
+            bdm_1d(s, BINARY, BdmParams(block_size=size))
 
     @pytest.mark.parametrize("size, overlap", SIZE_OVERLAP)
     def test_enumerated_table_on_long_bits(self, enumerated, size, overlap):

@@ -409,7 +409,7 @@ class TestMeasureFailures:
         out = tmp_path / "o.csv"
         code = main(["measure", "--input", data, "--out", str(out), "--measures", "bdm1d", "--ctm-table", str(table)])
         assert code == 1
-        assert f"CTM table: line 3: non-finite ctm_bits '{bits}'" in capsys.readouterr().err
+        assert f"CTM table {table}: line 3: non-finite ctm_bits '{bits}'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -533,7 +533,7 @@ class TestInputFiles:
             path.write_text(self.BAD_ROW[what], encoding="utf-8")
         assert main(self._argv(kind, str(path), tmp_path)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and what in err
+        assert err.startswith("error: ") and what in err and str(path) in err
 
     @pytest.mark.parametrize("kind", ["dataset", "results-correlate", "results-classify", "matrix", "CTM table"])
     def test_valid_file_exits_0(self, tmp_path, kind):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -147,6 +148,36 @@ class TestRle:
     def test_digit_symbols_equal_run_oracle(self, s):
         want = oracles.rle_runs_encode(s)
         assert rle_encode(s) == (want, len(want))
+
+    @given(
+        st.lists(st.tuples(st.sampled_from("abé\n "), st.integers(1, 3)), max_size=60),
+        st.tuples(st.sampled_from("abé\n "), st.integers(100, 300)),
+        st.integers(0, 60),
+    )
+    def test_short_runs_around_a_long_one_equal_run_oracle(self, runs, long_run, at):
+        runs.insert(min(at, len(runs)), long_run)
+        s = "".join(sym * k for sym, k in runs)
+        want = oracles.rle_runs_encode(s)
+        assert rle_encode(s) == (want, len(want))
+
+    def test_runs_of_two_equal_run_oracle(self):
+        # every run is a repeat, so no stretch of single symbols lies between them
+        s = "aabb" * 25000
+        want = oracles.rle_runs_encode(s)
+        assert rle_encode(s) == (want, len(want)) == ("a2b2" * 25000, 100000)
+
+    def test_peak_memory_on_single_symbol_runs(self):
+        # a million runs of length one; a list of one string per run takes
+        # about 60 MB
+        s = "abc" * 333334
+        tracemalloc.start()
+        try:
+            encoded, length = rle_encode(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert length == 2 * len(s) and encoded[:6] == "a1b1c1"
+        assert peak < 16_000_000
 
     def test_digit_symbols_do_not_decode(self):
         # a symbol followed by its count can read as one longer count, so

@@ -14,6 +14,8 @@ from seqcomplexity.deceiver import (
     modular_generate,
 )
 
+import oracles
+
 
 class TestChampernowne:
     def test_base_ten_prefix(self):
@@ -36,6 +38,26 @@ class TestChampernowne:
     @settings(max_examples=50, deadline=None)
     def test_prefix_stability(self, n, m, base):
         assert champernowne(n + m, base).startswith(champernowne(n, base))
+
+    @pytest.mark.parametrize("base", range(2, 37))
+    def test_equals_number_by_number_up_to_400(self, base):
+        want = oracles.champernowne_by_number(400, base)
+        for n in range(401):
+            assert champernowne(n, base) == want[:n]
+
+    @pytest.mark.parametrize("base", [2, 10, 16, 36])
+    def test_equals_number_by_number_at_digit_count_boundaries(self, base):
+        # the numbers of at most d digits spell sum_i i*(base-1)*base**(i-1) characters
+        limit = 10**5
+        want = oracles.champernowne_by_number(limit, base)
+        ends, end, d = [], 0, 1
+        while end <= limit:
+            ends.append(end)
+            end += d * (base - 1) * base ** (d - 1)
+            d += 1
+        lengths = {n for e in ends for n in (e - 1, e, e + 1) if 0 <= n <= limit} | {limit}
+        for n in sorted(lengths):
+            assert champernowne(n, base) == want[:n]
 
     def test_entropy_trend_toward_log_base(self):
         values = [shannon_entropy(champernowne(n, 10)) for n in (100, 1000, 10000)]
