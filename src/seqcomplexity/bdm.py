@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import coding
 from ._util import sig12
@@ -46,28 +47,27 @@ class CtmTable:
     1D entries are keyed by the block string; 2D entries by
     ``(rows, cols, row-major flattened string)``.  Values are bits and are
     normalized to 12 significant digits so that CSV round-trips are exact.
+    ``alphabet``, the symbols of every block, is taken when the table is
+    made.
     """
 
     dimension: int
     entries: dict
     provenance: str = field(default="", compare=False)
+    alphabet: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
+        chars = set()
         for key, bits in self.entries.items():
             block = key if self.dimension == 1 else key[2]
             if not block:
                 raise ValueError("empty block")
             if not 0 < bits < math.inf:
                 raise ValueError(f"non-positive or non-finite ctm_bits for block {block!r}")
-
-    @property
-    def alphabet(self) -> frozenset:
-        chars = set()
-        for key in self.entries:
-            chars.update(key if self.dimension == 1 else key[2])
-        return frozenset(chars)
+            chars.update(block)
+        self.alphabet = frozenset(chars)
 
 
 @dataclass(frozen=True)
@@ -149,12 +149,7 @@ def ctm_enumerate(states: int, symbols: int, step_bound: int) -> CtmTable:
     n_cells = 2 * states
     counts = Counter()
     total = 0
-    for m in range(actions_per_cell ** n_cells):
-        cells = []
-        x = m
-        for _ in range(n_cells):
-            cells.append(x % actions_per_cell)
-            x //= actions_per_cell
+    for cells in product(range(actions_per_cell), repeat=n_cells):
         for blank in (0, 1):
             out = _run_machine(cells, blank, _MIN_STEP_BOUND)
             if out is not None:
@@ -180,6 +175,16 @@ def _lookup(table, key, block, policy):
     raise KeyError(f"block {block!r} absent from CTM table")
 
 
+def _check_symbols(symbols, table, pad):
+    """Reject symbols (the members of the iterables in ``symbols``) and a
+    pad symbol that are not in the table's alphabet."""
+    bad = set().union(*symbols) - table.alphabet
+    if bad:
+        raise ValueError(f"symbols {sorted(bad)} not in table alphabet")
+    if pad is not None and pad not in table.alphabet:
+        raise ValueError("pad symbol not in table alphabet")
+
+
 def _aggregate(counts, table, policy):
     return sum(
         _lookup(table, b, b if isinstance(b, str) else b[2], policy)
@@ -199,7 +204,6 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     size = params.block_size
     if len(s) < size:
         raise ValueError(f"input shorter than block size {size}")
-    alphabet = table.alphabet
     stride = size - params.overlap
     n = (len(s) - size) // stride + 1
 
@@ -214,7 +218,7 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     # place in it, and Counter keeps first-occurrence order; so blocks enter
     # ``counts`` in the order of their first occurrence in the block
     # sequence, and ``_aggregate`` sums the same terms in the same order.
-    k = max(1, 8 // (stride * max(1, (len(alphabet) - 1).bit_length())))
+    k = max(1, 8 // (stride * max(1, (len(table.alphabet) - 1).bit_length())))
     m = n // k
     runs = Counter(zip(*(s[j :: k * stride][:m] for j in range((k - 1) * stride + size))))
     counts = Counter()
@@ -227,12 +231,8 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
 
     # the blocks hold every symbol of s before the tail they leave out
     tail = n * stride
-    bad = set(s[tail:]).union(*counts) - alphabet
-    if bad:
-        raise ValueError(f"symbols {sorted(bad)} not in table alphabet")
     pad = params.pad_symbol
-    if pad is not None and pad not in alphabet:
-        raise ValueError("pad symbol not in table alphabet")
+    _check_symbols([s[tail:], *counts], table, pad)
     if tail < len(s) and pad is not None:
         counts[(s[tail:] + pad * size)[:size]] += 1
     return _aggregate(counts, table, params.missing_block_policy)
@@ -258,17 +258,15 @@ def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
     rows, cols = len(cells), len(cells[0]) if cells else 0
     if rows < br or cols < bc:
         raise ValueError(f"matrix smaller than block shape {br}x{bc}")
-    alphabet = table.alphabet
-    bad = {v for row in cells for v in row} - alphabet
-    if bad:
-        raise ValueError(f"symbols {sorted(bad)} not in table alphabet")
+    odd = [v for row in m for v in row if int(v) != v]
+    if odd:
+        raise ValueError(f"non-integer entry {odd[0]!r}")
+    pad = params.pad_symbol
+    _check_symbols(cells, table, pad)
 
     # every symbol is now one character, so a row is a string of width cols
     grid = ["".join(row) for row in cells]
-    pad = params.pad_symbol
     if pad is not None:
-        if pad not in alphabet:
-            raise ValueError("pad symbol not in table alphabet")
         grid = [row + pad * (-cols % bc) for row in grid]
         grid += [pad * len(grid[0])] * (-rows % br)
 
@@ -283,14 +281,10 @@ def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
 def ctm_save(table: CtmTable, path) -> None:
     """Write a CTM table CSV (``block,ctm_bits`` or ``rows,cols,block,ctm_bits``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if table.dimension == 1:
-            fh.write("block,ctm_bits\n")
-            for block, bits in table.entries.items():
-                fh.write(f"{block},{sig12(bits):.12g}\n")
-        else:
-            fh.write("rows,cols,block,ctm_bits\n")
-            for (r, c, block), bits in table.entries.items():
-                fh.write(f"{r},{c},{block},{sig12(bits):.12g}\n")
+        fh.write(",".join(_CTM_HEADERS[table.dimension]) + "\n")
+        for key, bits in table.entries.items():
+            cells = key if table.dimension == 2 else (key,)
+            fh.write(",".join(map(str, cells)) + f",{sig12(bits):.12g}\n")
 
 
 def ctm_load(path) -> CtmTable:

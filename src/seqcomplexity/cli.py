@@ -89,13 +89,13 @@ def compute_measure(record, measure, config: RunConfig):
     """``(value, metadata)`` of one record under ``MEASURES[measure]``;
     inapplicable combinations yield an empty value."""
     entry = MEASURES[measure]
-    if entry.matrix_only:
+    if entry.ctm_dim == 2:
         if record.payload_kind != "matrix":
             return None, "not applicable: string payload"
         x, suffix = _binary_matrix(record, config), ""
     else:
         x, source = _payload_string(record, config)
-        if entry.bits and source == "string":
+        if entry.ctm_dim == 1 and source == "string":
             x, source = text_to_bits(x), "utf8_bits"
         suffix = f";input={source}"
     try:
@@ -173,21 +173,12 @@ def cmd_correlate(args) -> int:
     for m in (args.x, args.y):
         if m not in present:
             raise UsageError(f"measure {m!r} absent from results file")
-    xs_by_id, ys_by_id, order = {}, {}, []
-    for r in rows:
-        if r["value"] is None:
-            continue
-        if r["measure"] == args.x:
-            if r["id"] not in xs_by_id:
-                order.append(r["id"])
-            xs_by_id[r["id"]] = r["value"]
-        if r["measure"] == args.y:
-            ys_by_id[r["id"]] = r["value"]
-    shared = [i for i in order if i in ys_by_id]
+    values = {(r["id"], r["measure"]): r["value"] for r in rows if r["value"] is not None}
+    shared = [i for i, m in values if m == args.x and (i, args.y) in values]
     if len(shared) < 3:
         raise UsageError(f"need >= 3 shared ids with both measures, found {len(shared)}")
-    xs = [xs_by_id[i] for i in shared]
-    ys = [ys_by_id[i] for i in shared]
+    xs = [values[i, args.x] for i in shared]
+    ys = [values[i, args.y] for i in shared]
     fn = stats.pearson if args.method == "pearson" else stats.spearman
     try:
         rep = fn(xs, ys, ci_level=args.ci)

@@ -201,11 +201,11 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
     values = {}
     for name in measures:
         entry = MEASURES.get(name)
-        if entry is None or entry.matrix_only:
+        if entry is None or entry.ctm_dim == 2:
             raise ValueError(f"unknown measure {name!r}")
         if entry.ctm_dim and ctm_table is None:
             raise ValueError(f"{name} requested without a CTM table")
-        x = text_to_bits(s) if entry.bits else s
+        x = text_to_bits(s) if entry.ctm_dim == 1 else s
         value, _ = entry.compute(x, ctm_table, _BDM_PARAMS)
         values[name] = float(value)
     distinct = len(set(s))

@@ -15,16 +15,15 @@ __all__ = ["Measure", "MEASURES"]
 class Measure:
     """``compute(x, table, params)`` returns ``(value, note)``.
 
-    ``x`` is the payload string; for ``bits`` entries it is the binary
-    spelling of the payload, and for ``matrix_only`` entries the binarized
-    matrix.  ``ctm_dim`` is the dimension of the CTM table ``table`` the
-    entry needs and ``params`` are its ``BdmParams``.
+    ``ctm_dim`` decides the input ``x``.  None: the payload string.  1: its
+    binary spelling (the UTF-8 bits of a string, the flattened binarized
+    matrix), with a 1D CTM table ``table``.  2: the binarized matrix, with
+    a 2D table, and only for matrix payloads.  ``params`` are the
+    ``BdmParams`` of a CTM entry.
     """
 
     compute: Callable
-    bits: bool = False
     ctm_dim: int | None = None
-    matrix_only: bool = False
 
 
 def _huffman(s, *_):
@@ -54,6 +53,6 @@ MEASURES: dict[str, Measure] = {
     "lzw": Measure(_lzw),
     "ma_exact": Measure(lambda s, *_: (assembly.assembly_index_exact(s)[0], "exact")),
     "ma_split": Measure(lambda s, *_: (assembly.assembly_index_split(s)[0], "upper_bound")),
-    "bdm1d": Measure(_bdm1d, bits=True, ctm_dim=1),
-    "bdm2d": Measure(_bdm2d, ctm_dim=2, matrix_only=True),
+    "bdm1d": Measure(_bdm1d, ctm_dim=1),
+    "bdm2d": Measure(_bdm2d, ctm_dim=2),
 }

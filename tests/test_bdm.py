@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 import tracemalloc
 from itertools import product
 
@@ -345,6 +347,24 @@ class TestBdm2d:
         with pytest.raises(ValueError, match="input must be a 2D matrix"):
             bdm_2d(m, toy_table_2d())
 
+    @pytest.mark.parametrize("m, entry", [
+        ([[0.7, 1], [1, 0]], 0.7),
+        ([[0, 1], [1, 1.5]], 1.5),
+        (np.array([[0, 1], [0.5, 0]]), np.float64(0.5)),
+    ])
+    def test_non_integer_entry_rejected(self, m, entry):
+        with pytest.raises(ValueError, match=re.escape(f"non-integer entry {entry!r}")):
+            bdm_2d(m, toy_table_2d())
+
+    @pytest.mark.parametrize("m", [
+        [[1.0, 0.0], [0, 1]],
+        [[True, False], [False, True]],
+        np.eye(2, dtype=int),
+        np.eye(2),
+    ])
+    def test_integral_entries_accepted(self, m):
+        assert bdm_2d(m, toy_table_2d()) == bdm_2d([[1, 0], [0, 1]], toy_table_2d())
+
 
 class TestCtmRoundTrip:
     def test_enumerated_round_trip(self, tmp_path, enumerated):
@@ -393,6 +413,27 @@ class TestCtmRoundTrip:
         path.write_text("block,ctm_bits,note\n01,2.0,x\n")
         with pytest.raises(ValueError, match="unrecognized header 'block,ctm_bits,note'"):
             ctm_load(path)
+
+
+def _reloaded(table, path):
+    ctm_save(table, path)
+    return ctm_load(path)
+
+
+class TestAlphabet:
+    @pytest.mark.parametrize("make", [
+        lambda tmp: toy_table_1d(),
+        lambda tmp: toy_table_2d(),
+        lambda tmp: ctm_enumerate(2, 2, 30),
+        lambda tmp: _reloaded(toy_table_1d(), tmp / "t1.csv"),
+        lambda tmp: _reloaded(toy_table_2d(), tmp / "t2.csv"),
+        lambda tmp: dataclasses.replace(toy_table_1d(), entries={"0": 1.0, "12": 2.0}),
+    ], ids=["toy_1d", "toy_2d", "enumerated", "loaded_1d", "loaded_2d", "replaced"])
+    def test_taken_once_from_blocks(self, tmp_path, make):
+        table = make(tmp_path)
+        blocks = table.entries if table.dimension == 1 else [key[2] for key in table.entries]
+        assert table.alphabet is table.alphabet
+        assert table.alphabet == frozenset("".join(blocks))
 
 
 class TestValidation:

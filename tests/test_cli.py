@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -12,6 +13,7 @@ from seqcomplexity import coding
 from seqcomplexity._util import fmt12
 from seqcomplexity.cli import main, synthetic_corpus
 from seqcomplexity.deceiver import champernowne
+from seqcomplexity.measures import Measure
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CORPUS = os.path.join(DATA_DIR, "synthetic_corpus.csv")
@@ -98,6 +100,18 @@ class TestMeasure:
         rows = _read_csv(out)
         assert len(rows) == 2
         assert float(rows[0]["value"]) > 0
+
+    def test_ctm_dim_decides_input(self, tmp_path):
+        assert [f.name for f in dataclasses.fields(Measure)] == ["compute", "ctm_dim"]
+        (tmp_path / "m.csv").write_text("0,1\n1,1\n")
+        data = _write_dataset(tmp_path, ["s1,c,string,AB,", "m1,c,matrix,m.csv,"])
+        out = str(tmp_path / "res.csv")
+        assert main(["measure", "--input", data, "--out", out, "--measures", "entropy,bdm1d,bdm2d", "--toy-ctm"]) == 0
+        inputs = {(r["id"], r["measure"]): r["metadata"].rpartition("input=")[2] for r in _read_csv(out)}
+        assert inputs == {
+            ("s1", "entropy"): "string", ("s1", "bdm1d"): "utf8_bits", ("s1", "bdm2d"): "not applicable: string payload",
+            ("m1", "entropy"): "matrix_flat", ("m1", "bdm1d"): "matrix_flat", ("m1", "bdm2d"): "block_shape=2x2;boundary=ignore",
+        }
 
     def test_bdm2d_on_string_not_applicable(self, tmp_path):
         data = _write_dataset(tmp_path, ["m1,c,string,0101,"])

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -38,3 +39,14 @@ def test_only_ingest_opens_files_for_reading():
         if isinstance(node, ast.Call) and _reads_a_file(node)
     ]
     assert not readers
+
+
+def test_every_benchmark_traced_name_resolves():
+    """The benchmark's tracer wraps package functions by name; a name it
+    wraps must not vanish from the module it is looked up in."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracing.TARGETS if not callable(getattr(module, attr, None))]
+    assert tracing.TARGETS and not missing
