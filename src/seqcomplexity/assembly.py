@@ -122,15 +122,10 @@ def _substring_universe(s):
     of ``s`` is itself a substring of ``s``, so the table is closed.
     """
     n = len(s)
-    subs = set()
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            subs.add(s[i:j])
+    subs = {s[i:j] for i in range(n) for j in range(i + 1, n + 1)}
     ordered = sorted(subs, key=lambda w: (len(w), w))
     sid = {w: k for k, w in enumerate(ordered)}
-    splits = []
-    for w in ordered:
-        splits.append([(sid[w[:c]], sid[w[c:]]) for c in range(1, len(w))])
+    splits = [[(sid[w[:c]], sid[w[c:]]) for c in range(1, len(w))] for w in ordered]
     return ordered, splits
 
 
@@ -157,9 +152,7 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     search enumerates candidate join results in a canonical order (step
     results strictly increasing by (length, lexicographic)), which is
     complete because any pathway can be reordered that way: each join's
-    parts are strictly shorter than its result.  Branches are cut when the
-    longest built object cannot reach ``len(s)`` by doubling in the
-    remaining steps.
+    parts are strictly shorter than its result.
 
     Deepening starts at ``max(ceil(log2 n), z - sigma)``: a pathway with
     ``k`` joins over ``sigma`` symbols is a straight-line program with
@@ -187,12 +180,7 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     n = len(s)
     ordered, splits = _substring_universe(s)
     target_id = len(ordered) - 1
-    # ids are length-sorted and every length 1..n occurs, so first_of_len
-    # has every length the doubling cut below asks for
     available = [len(w) == 1 for w in ordered]
-    first_of_len = {}
-    for k, w in enumerate(ordered):
-        first_of_len.setdefault(len(w), k)
     # cuts[c] counts the cuts of c whose parts are both built; users[x]
     # lists (c, other part) for every cut of c that has x as a part, once
     # for a cut (x, x)
@@ -222,13 +210,10 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
                 chosen.append(target_id)
                 return True
             return False
-        # the longest object after this step must still reach n by doubling
-        need = (n + (1 << (remaining - 1)) - 1) >> (remaining - 1)
-        lo = max(start, first_of_len[max(2, need)])
         if remaining == 2 and not cuts[target_id]:
-            # the last object must complete a cut of the target; ids from lo
-            # on are not built yet, so this is the first one the loop below
-            # would find
+            # the last object must complete a cut of the target; ids from
+            # start on are not built yet, so this is the first one the loop
+            # below would find
             last = target_id
             for u, v in splits[target_id]:
                 if available[u]:
@@ -237,14 +222,14 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
                     x = u
                 else:
                     continue
-                if lo <= x < last and cuts[x]:
+                if start <= x < last and cuts[x]:
                     last = x
             if last == target_id:
                 return False
             available[last] = True
             chosen.extend((last, target_id))
             return True
-        for cid in range(lo, target_id):
+        for cid in range(start, target_id):
             if not cuts[cid]:
                 continue
             set_available(cid, True)
@@ -256,9 +241,7 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
         return False
 
     depth = max((n - 1).bit_length(), _lz77_phrases(s) - len(set(s)))
-    while True:
-        if dfs(0, depth):
-            break
+    while not dfs(0, depth):
         depth += 1
     # dfs holds itself through its closure; clearing it frees the search
     # state now rather than at the next full garbage collection

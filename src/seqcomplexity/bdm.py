@@ -249,18 +249,21 @@ def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
     if params.overlap:
         raise ValueError("2D decomposition is non-overlapping")
     try:
-        cells = [[str(int(v)) for v in row] for row in m]
-    except TypeError:
+        m = list(m)
+        widths = {len(row) for row in m}
+        # int() rejects nan and the infinities, which are not integers either
+        odd = [v for row in m for v in row if v != v or v in (math.inf, -math.inf) or int(v) != v]
+    except (TypeError, ValueError):
         raise ValueError("input must be a 2D matrix") from None
-    if any(isinstance(row, str) for row in m) or any(len(row) != len(cells[0]) for row in cells):
+    if any(isinstance(row, str) for row in m) or len(widths) > 1:
         raise ValueError("input must be a 2D matrix")
     br, bc = params.block_shape
-    rows, cols = len(cells), len(cells[0]) if cells else 0
+    rows, cols = len(m), min(widths, default=0)
     if rows < br or cols < bc:
         raise ValueError(f"matrix smaller than block shape {br}x{bc}")
-    odd = [v for row in m for v in row if int(v) != v]
     if odd:
         raise ValueError(f"non-integer entry {odd[0]!r}")
+    cells = [[str(int(v)) for v in row] for row in m]
     pad = params.pad_symbol
     _check_symbols(cells, table, pad)
 

@@ -67,6 +67,13 @@ def _gamma_bits(n: int) -> str:
     return "0" * (len(b) - 1) + b
 
 
+# the fields each generator kind reads, which are also its JSON keys besides "kind"
+_FIELDS = {
+    "champernowne": ("base", "length"),
+    "modular": ("seed", "period", "steps", "extension_symbols"),
+}
+
+
 @dataclass
 class GeneratorSpec:
     """Canonical description of a deceiver generator.
@@ -87,7 +94,7 @@ class GeneratorSpec:
     description_bits: int = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in ("champernowne", "modular"):
+        if not isinstance(self.kind, str) or self.kind not in _FIELDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.kind == "champernowne":
             if not 2 <= self.base <= 36:
@@ -116,33 +123,17 @@ class GeneratorSpec:
         )
 
     def to_json(self) -> str:
-        if self.kind == "champernowne":
-            payload = {"kind": self.kind, "base": self.base, "length": self.length}
-        else:
-            payload = {
-                "kind": self.kind,
-                "seed": self.seed,
-                "period": self.period,
-                "steps": self.steps,
-                "extension_symbols": list(self.extension_symbols),
-            }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({f: getattr(self, f) for f in ("kind", *_FIELDS[self.kind])}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorSpec":
+        """Inverse of :meth:`to_json`; ``extension_symbols`` may be left out."""
         data = json.loads(text)
         kind = data.get("kind")
-        if kind == "champernowne":
-            return cls(kind=kind, base=data["base"], length=data["length"])
-        if kind == "modular":
-            return cls(
-                kind=kind,
-                seed=data["seed"],
-                period=data["period"],
-                steps=data["steps"],
-                extension_symbols=tuple(data.get("extension_symbols", ())),
-            )
-        raise ValueError(f"unknown generator kind {kind!r}")
+        # an unknown kind reads no field, and __post_init__ rejects it
+        fields = _FIELDS.get(kind, ()) if isinstance(kind, str) else ()
+        values = {f: tuple(data.get(f, ())) if f == "extension_symbols" else data[f] for f in fields}
+        return cls(kind=kind, **values)
 
 
 def modular_generate(spec: GeneratorSpec) -> str:
@@ -152,12 +143,10 @@ def modular_generate(spec: GeneratorSpec) -> str:
         raise ValueError("spec kind must be 'modular'")
     module = spec.seed
     out = []
-    ext_i = 0
     for i in range(1, spec.steps + 1):
         out.append(module)
         if i % spec.period == 0 and spec.extension_symbols:
-            module += spec.extension_symbols[ext_i % len(spec.extension_symbols)]
-            ext_i += 1
+            module += spec.extension_symbols[(i // spec.period - 1) % len(spec.extension_symbols)]
     result = "".join(out)
     expected = _modular_length(spec)
     assert len(result) == expected, "modular expansion length mismatch"

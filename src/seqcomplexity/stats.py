@@ -10,7 +10,9 @@ corrections are applied anywhere.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 __all__ = [
     "StatReport",
@@ -37,8 +39,8 @@ class StatReport:
     notes: str = ""
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float, tol: float = 1e-12) -> float:
-    """I_x(a, b) by the Lentz continued fraction, relative tolerance ``tol``."""
+def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b) by the Lentz continued fraction, relative tolerance 1e-12."""
     if not 0.0 <= x <= 1.0:
         raise ValueError("x outside [0, 1]")
     if x == 0.0:
@@ -47,7 +49,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float, tol: float = 1e-12
         return 1.0
     # converges fastest for x < (a+1)/(a+b+2); otherwise use the symmetry
     if x > (a + 1.0) / (a + b + 2.0):
-        return 1.0 - regularized_incomplete_beta(b, a, 1.0 - x, tol)
+        return 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
 
     ln_front = (
         math.lgamma(a + b)
@@ -77,7 +79,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float, tol: float = 1e-12
             c = tiny
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < 1e-12:
             return front * (f - 1.0) / a
     raise ArithmeticError("incomplete beta continued fraction did not converge")
 
@@ -168,14 +170,12 @@ def _midranks(values) -> list[float]:
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
     i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
+    for _, run in groupby(order, key=values.__getitem__):
+        run = list(run)
+        rank = i + (len(run) + 1) / 2
+        for k in run:
+            ranks[k] = rank
+        i += len(run)
     return ranks
 
 
@@ -211,18 +211,11 @@ def welch_t(a, b) -> StatReport:
 
 
 def _ecdf_distance(a, b) -> float:
-    xs = sorted(set(a) | set(b))
     sa, sb = sorted(a), sorted(b)
-    na, nb = len(sa), len(sb)
-    d = 0.0
-    ia = ib = 0
-    for x in xs:
-        while ia < na and sa[ia] <= x:
-            ia += 1
-        while ib < nb and sb[ib] <= x:
-            ib += 1
-        d = max(d, abs(ia / na - ib / nb))
-    return d
+    return max(
+        abs(bisect_right(sa, x) / len(sa) - bisect_right(sb, x) / len(sb))
+        for x in set(a) | set(b)
+    )
 
 
 def kolmogorov_sf(lam: float) -> float:

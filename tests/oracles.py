@@ -137,6 +137,11 @@ def naive_assembly_index(s):
         frontier = nxt
 
 
+def midranks(values):
+    """Rank of each value: the values below it, plus the middle of its ties."""
+    return [sum(u < v for u in values) + (sum(u == v for u in values) + 1) / 2 for v in values]
+
+
 def ecdf_sup_distance(a, b):
     points = sorted(set(a) | set(b))
     sa, sb = sorted(a), sorted(b)

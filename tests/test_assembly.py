@@ -110,8 +110,20 @@ class TestExact:
             "70dc2e6598ea1a7b39d7bb783be28170af347769aecb4d5f87e664be5784a45f"
         )
 
+    def test_witness_digest_near_log_bound_24_to_25(self):
+        # strings at the guard's length whose index is near ceil(log2 n), so
+        # each search takes well under a second (digest computed while the
+        # exact search still had its per-node doubling cut)
+        strings = [
+            "AB" * 12 + "A", "A" * 24 + "B", "ABC" * 8, "AAB" * 8, "ABCD" * 6, "ABBA" * 6,
+            "ABAABABAABAABABAABABAABAA",  # the Fibonacci word
+        ]
+        assert _witness_digest(assembly_index_exact, strings) == (
+            "941d58972ecd0c515fe7361eb3a036acb300baa5b373b19ef4ce54633e461223"
+        )
+
     def test_repeated_symbol_matches_addition_chains(self):
-        for n in range(1, 17):
+        for n in range(1, assembly.DEFAULT_EXACT_GUARD + 1):
             idx, pathway = assembly_index_exact("A" * n)
             assert idx == oracles.addition_chain_length(n), f"n={n}"
             assert verify_pathway(pathway, "A" * n)

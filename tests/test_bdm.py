@@ -341,8 +341,12 @@ class TestBdm2d:
     ])
     def test_list_input_equals_ndarray(self, m, params):
         assert bdm_2d(m.tolist(), toy_table_2d(), params) == bdm_2d(m, toy_table_2d(), params)
+        assert bdm_2d((row for row in m.tolist()), toy_table_2d(), params) == bdm_2d(m, toy_table_2d(), params)
 
-    @pytest.mark.parametrize("m", [[0, 1, 0, 1], [[0, 1], [0]], [[0, 1], [1, 0, 1]], ["00", "00"], ["0101", "1010"], "0000"])
+    @pytest.mark.parametrize("m", [
+        [0, 1, 0, 1], [[0, 1], [0]], [[0, 1], [1, 0, 1]], ["00", "00"], ["0101", "1010"], "0000",
+        [[0, 1], [1, "x"]], [[0, None], [1, 0]], np.zeros((2, 2, 2)),
+    ])
     def test_not_2d_rejected(self, m):
         with pytest.raises(ValueError, match="input must be a 2D matrix"):
             bdm_2d(m, toy_table_2d())
@@ -351,6 +355,9 @@ class TestBdm2d:
         ([[0.7, 1], [1, 0]], 0.7),
         ([[0, 1], [1, 1.5]], 1.5),
         (np.array([[0, 1], [0.5, 0]]), np.float64(0.5)),
+        ([[float("inf"), 1], [1, 0]], float("inf")),
+        ([[0, 1], [float("-inf"), 0]], float("-inf")),
+        ([[0, float("nan")], [1, 0]], float("nan")),
     ])
     def test_non_integer_entry_rejected(self, m, entry):
         with pytest.raises(ValueError, match=re.escape(f"non-integer entry {entry!r}")):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -130,9 +131,38 @@ class TestGeneratorSpec:
         ):
             assert GeneratorSpec.from_json(spec.to_json()) == spec
 
+    def test_json_bytes(self):
+        # the modular spec's JSON is part of the `long` benchmark input
+        assert GeneratorSpec(kind="champernowne", base=2, length=64).to_json() == (
+            '{"base": 2, "kind": "champernowne", "length": 64}'
+        )
+        spec = GeneratorSpec(kind="modular", seed="AB", period=3, steps=9, extension_symbols=("C", "D"))
+        assert spec.to_json() == (
+            '{"extension_symbols": ["C", "D"], "kind": "modular", "period": 3, "seed": "AB", "steps": 9}'
+        )
+
+    def test_from_json_extension_symbols_optional(self):
+        spec = GeneratorSpec.from_json('{"kind": "modular", "seed": "AB", "period": 3, "steps": 9}')
+        assert spec == GeneratorSpec(kind="modular", seed="AB", period=3, steps=9)
+
+    @pytest.mark.parametrize("text, missing", [
+        ('{"kind": "champernowne", "base": 2}', "length"),
+        ('{"kind": "modular", "seed": "AB", "steps": 9}', "period"),
+    ])
+    def test_from_json_missing_field(self, text, missing):
+        with pytest.raises(KeyError, match=missing):
+            GeneratorSpec.from_json(text)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown generator kind"):
             GeneratorSpec(kind="fibonacci")
+
+    @pytest.mark.parametrize("kind", ["fibonacci", None, 3, [1], {"a": 1}])
+    def test_unknown_kind_in_json(self, kind):
+        with pytest.raises(ValueError, match="unknown generator kind"):
+            GeneratorSpec(kind=kind)
+        with pytest.raises(ValueError, match="unknown generator kind"):
+            GeneratorSpec.from_json(json.dumps({"kind": kind}))
 
 
 class TestDivergenceReport:

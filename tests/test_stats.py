@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqcomplexity.stats import (
+    _midranks,
     ks_two_sample,
     pearson,
     regularized_incomplete_beta,
@@ -111,6 +112,12 @@ class TestSpearman:
         rep = spearman([1, 2, 2, 3], [1, 2, 3, 4])
         expected = pearson([1.0, 2.5, 2.5, 4.0], [1.0, 2.0, 3.0, 4.0]).statistic
         assert rep.statistic == pytest.approx(expected, abs=1e-12)
+
+    @given(st.one_of(st.lists(st.integers(0, 4), max_size=30), st.lists(FLOATS, max_size=30)))
+    @settings(max_examples=60, deadline=None)
+    def test_midranks_equal_counting_oracle(self, values):
+        # a shift of every rank leaves rho unchanged, so check the ranks themselves
+        assert _midranks(values) == oracles.midranks(values)
 
     def test_report_is_pearson_of_midranks(self):
         xs, ys = [3.0, 1.0, 4.0, 1.0, 5.0], [2.0, 7.0, 1.0, 8.0, 2.5]
