@@ -194,7 +194,10 @@ def _aggregate(counts, table, policy):
 
 
 def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
-    """BDM of a string: partition into blocks, sum ctm + log2 multiplicity."""
+    """BDM of a string: partition into blocks, sum ctm + log2 multiplicity.
+
+    A list or tuple of one-character symbols scores as their joined string.
+    """
     if params is None:
         params = BdmParams(block_size=2)
     if table.dimension != 1:
@@ -202,6 +205,8 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     if params.block_size is None:
         raise ValueError("params.block_size required for 1D decomposition")
     size = params.block_size
+    if not isinstance(s, str):
+        s = "".join(s)
     if len(s) < size:
         raise ValueError(f"input shorter than block size {size}")
     stride = size - params.overlap
@@ -218,12 +223,23 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     # place in it, and Counter keeps first-occurrence order; so blocks enter
     # ``counts`` in the order of their first occurrence in the block
     # sequence, and ``_aggregate`` sums the same terms in the same order.
-    k = max(1, 8 // (stride * max(1, (len(table.alphabet) - 1).bit_length())))
-    m = n // k
-    runs = Counter(zip(*(s[j :: k * stride][:m] for j in range((k - 1) * stride + size))))
+    # A string of "0"s and "1"s cut into non-overlapping blocks whose size
+    # divides 8 has runs of exactly 8 bits, which are the bytes of
+    # int(s, 2); a Counter over those bytes meets the runs in the same order
+    # as over the columns.  Every other input zips the columns.  The bytes
+    # of s are checked first, since int() also reads "_", spaces and a sign.
+    if not params.overlap and 8 % stride == 0 and s.isascii() and not s.encode().translate(None, b"01"):
+        k = 8 // stride
+        m = n // k
+        runs = Counter(int(s[: 8 * m] or "0", 2).to_bytes(m, "big"))
+        runs = {format(v, "08b"): c for v, c in runs.items()}
+    else:
+        k = max(1, 8 // (stride * max(1, (len(table.alphabet) - 1).bit_length())))
+        m = n // k
+        runs = Counter(zip(*(s[j :: k * stride][:m] for j in range((k - 1) * stride + size))))
+        runs = {"".join(run): c for run, c in runs.items()}
     counts = Counter()
     for run, c in runs.items():
-        run = "".join(run)
         for i in range(0, k * stride, stride):
             counts[run[i : i + size]] += c
     for i in range(m * k * stride, n * stride, stride):

@@ -96,6 +96,16 @@ class GeneratorSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _FIELDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        for name in ("base", "length", "period", "steps"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        if not isinstance(self.seed, str):
+            raise ValueError(f"seed must be a string, not {self.seed!r}")
+        # the expansion appends one character per extension
+        ext = self.extension_symbols
+        if not isinstance(ext, tuple) or not all(isinstance(c, str) and len(c) == 1 for c in ext):
+            raise ValueError(f"extension_symbols must be a tuple of single characters, not {ext!r}")
         if self.kind == "champernowne":
             if not 2 <= self.base <= 36:
                 raise ValueError("base out of range [2, 36]")
@@ -127,12 +137,23 @@ class GeneratorSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorSpec":
-        """Inverse of :meth:`to_json`; ``extension_symbols`` may be left out."""
+        """Inverse of :meth:`to_json`; ``extension_symbols`` may be left out.
+
+        A document that is not an object, lacks a field or holds a wrongly
+        typed one raises ``ValueError`` naming it.
+        """
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"generator spec must be a JSON object, not {type(data).__name__}")
         kind = data.get("kind")
         # an unknown kind reads no field, and __post_init__ rejects it
         fields = _FIELDS.get(kind, ()) if isinstance(kind, str) else ()
-        values = {f: tuple(data.get(f, ())) if f == "extension_symbols" else data[f] for f in fields}
+        for f in ("kind", *fields):
+            if f not in data and f != "extension_symbols":
+                raise ValueError(f"generator spec lacks field {f!r}")
+        values = {f: data[f] for f in fields if f in data}
+        if isinstance(values.get("extension_symbols"), list):
+            values["extension_symbols"] = tuple(values["extension_symbols"])
         return cls(kind=kind, **values)
 
 

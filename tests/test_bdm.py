@@ -132,13 +132,26 @@ class TestBdm1d:
         # surrogate for "10": 2 * H("10") + 1 = 3.0
         assert bdm_1d("0010", table, params) == pytest.approx(2.0 + 3.0, abs=1e-12)
 
-    def test_alphabet_mismatch(self):
+    def test_alphabet_mismatch(self, enumerated):
         with pytest.raises(ValueError, match="not in table alphabet"):
             bdm_1d("0X01", toy_table_1d())
+        # int(s, 2) also reads underscores, surrounding whitespace and a sign
+        for s, bad in [("0_1" * 8, "_"), (" 0101010", " "), ("0101\n0101", "\n"), ("+0101010", "+")]:
+            for table, size in product([BINARY, enumerated], [1, 2, 4, 8]):
+                with pytest.raises(ValueError, match=re.escape(f"symbols {[bad]} not in table alphabet")):
+                    bdm_1d(s, table, BdmParams(block_size=size))
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="shorter than block size"):
             bdm_1d("0", toy_table_1d())
+
+    @pytest.mark.parametrize("s", ["01010011", "0110100111", "0" * 16 + "1"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_list_and_tuple_equal_joined_string(self, s, size):
+        params = BdmParams(block_size=size)
+        want = bdm_1d(s, BINARY, params)
+        assert bdm_1d(list(s), BINARY, params) == want
+        assert bdm_1d(tuple(s), BINARY, params) == want
 
     def test_monotone_in_distinct_blocks(self):
         # adding a new distinct block strictly increases the value
@@ -273,6 +286,15 @@ class TestBdm1dSlicedOracle:
     def test_bad_symbol_only_in_leftover_block_rejected(self, s, size):
         with pytest.raises(ValueError, match=r"symbols \['2'\] not in table alphabet"):
             bdm_1d(s, BINARY, BdmParams(block_size=size))
+
+    # bit strings under a 3-symbol table: runs of 8 // stride blocks, where
+    # other strings over that table take runs of 4 // stride
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    @given(s=st.text(alphabet="01", min_size=4, max_size=120), pad=st.sampled_from([None, "0", "2"]))
+    @settings(max_examples=40, deadline=None)
+    def test_bits_with_ternary_table(self, size, s, pad):
+        params = BdmParams(block_size=size, pad_symbol=pad)
+        assert bdm_1d(s, TERNARY, params) == oracles.bdm_1d_sliced(s, TERNARY.entries, size, 0, pad)
 
     @pytest.mark.parametrize("size, overlap", SIZE_OVERLAP)
     def test_enumerated_table_on_long_bits(self, enumerated, size, overlap):

@@ -148,10 +148,38 @@ class TestGeneratorSpec:
     @pytest.mark.parametrize("text, missing", [
         ('{"kind": "champernowne", "base": 2}', "length"),
         ('{"kind": "modular", "seed": "AB", "steps": 9}', "period"),
+        ('{"base": 2, "length": 5}', "kind"),
     ])
     def test_from_json_missing_field(self, text, missing):
-        with pytest.raises(KeyError, match=missing):
+        with pytest.raises(ValueError, match=f"lacks field '{missing}'"):
             GeneratorSpec.from_json(text)
+
+    @pytest.mark.parametrize("text", ["[1]", '"champernowne"', "null", "3"])
+    def test_from_json_not_an_object(self, text):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            GeneratorSpec.from_json(text)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"kind": "champernowne", "base": "10", "length": 5}, "base"),
+        ({"kind": "champernowne", "base": 10, "length": 5.0}, "length"),
+        ({"kind": "champernowne", "base": True, "length": 5}, "base"),
+        ({"kind": "modular", "seed": 5, "period": 3, "steps": 9}, "seed"),
+        ({"kind": "modular", "seed": "AB", "period": None, "steps": 9}, "period"),
+        ({"kind": "modular", "seed": "AB", "period": 3, "steps": False}, "steps"),
+        ({"kind": "modular", "seed": "AB", "period": 3, "steps": 9, "extension_symbols": "CD"}, "extension_symbols"),
+        ({"kind": "modular", "seed": "AB", "period": 3, "steps": 9, "extension_symbols": (1,)}, "extension_symbols"),
+        ({"kind": "modular", "seed": "AB", "period": 3, "steps": 9, "extension_symbols": ("CD",)}, "extension_symbols"),
+    ])
+    def test_wrongly_typed_field_named(self, fields, name):
+        # json.dumps writes the tuples as lists, which from_json reads back as tuples
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            GeneratorSpec.from_json(json.dumps(fields))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            GeneratorSpec(**fields)
+
+    def test_extension_symbols_must_be_a_tuple(self):
+        with pytest.raises(ValueError, match="^extension_symbols must be"):
+            GeneratorSpec(kind="modular", seed="AB", period=3, steps=9, extension_symbols=["C"])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown generator kind"):
