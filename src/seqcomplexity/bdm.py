@@ -10,6 +10,7 @@ over distinct blocks.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -34,8 +35,7 @@ __all__ = [
 # (2,2) machines halt by one of two dedicated actions that write a symbol
 # in place; every ordinary action writes, moves, and switches state, which
 # gives (4*states + 2) actions per table cell.
-_HALT_WRITE_0 = 8
-_HALT_WRITE_1 = 9
+_HALT_WRITE_0 = 8  # 9 halts writing 1
 _MIN_STEP_BOUND = 6  # maximum steps a halting (2,2) machine actually needs
 _CTM_HEADERS = {1: ["block", "ctm_bits"], 2: ["rows", "cols", "block", "ctm_bits"]}
 
@@ -86,11 +86,6 @@ class BdmParams:
     overlap: int = 0
     missing_block_policy: str = "error"
     pad_symbol: str | None = None
-
-    @property
-    def boundary(self) -> str:
-        """``pad`` when partial blocks are padded, else ``ignore``."""
-        return "ignore" if self.pad_symbol is None else "pad"
 
     def __post_init__(self):
         if self.missing_block_policy not in ("error", "entropy_surrogate"):
@@ -300,10 +295,10 @@ def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
 def ctm_save(table: CtmTable, path) -> None:
     """Write a CTM table CSV (``block,ctm_bits`` or ``rows,cols,block,ctm_bits``)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_CTM_HEADERS[table.dimension]) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CTM_HEADERS[table.dimension])
         for key, bits in table.entries.items():
-            cells = key if table.dimension == 2 else (key,)
-            fh.write(",".join(map(str, cells)) + f",{sig12(bits):.12g}\n")
+            writer.writerow([*(key if table.dimension == 2 else (key,)), f"{sig12(bits):.12g}"])
 
 
 def ctm_load(path) -> CtmTable:

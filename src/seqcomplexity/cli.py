@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import random
 import sys
@@ -168,12 +169,12 @@ def cmd_measure(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    _, rows = _read(f"results file {args.input}", load_results, args.input)
-    present = {r["measure"] for r in rows}
+    _, table = _read(f"results file {args.input}", load_results, args.input)
+    present = {m for _, m in table}
     for m in (args.x, args.y):
         if m not in present:
             raise UsageError(f"measure {m!r} absent from results file")
-    values = {(r["id"], r["measure"]): r["value"] for r in rows if r["value"] is not None}
+    values = {key: r["value"] for key, r in table.items() if r["value"] is not None}
     shared = [i for i, m in values if m == args.x and (i, args.y) in values]
     if len(shared) < 3:
         raise UsageError(f"need >= 3 shared ids with both measures, found {len(shared)}")
@@ -199,27 +200,22 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    columns, rows = _read(f"results file {args.input}", load_results, args.input)
+    columns, table = _read(f"results file {args.input}", load_results, args.input)
     group_col = args.group_col
     if group_col not in columns:
         raise UsageError(f"group column {group_col!r} not in results file")
-    measures, groups = [], []
     values = {}
-    for r in rows:
-        if r["value"] is None:
-            continue
-        m, g = r["measure"], r[group_col]
-        if m not in measures:
-            measures.append(m)
-        if g not in groups:
-            groups.append(g)
-        values.setdefault((m, g), []).append(r["value"])
+    for (_, m), r in table.items():
+        if r["value"] is not None:
+            values.setdefault((m, r[group_col]), []).append(r["value"])
+    measures = list(dict.fromkeys(m for m, _ in values))
+    groups = sorted({g for _, g in values})
     if len(groups) < 2:
         raise UsageError(f"need >= 2 groups in column {group_col!r}, found {len(groups)}")
     out_rows = []
     header = ["measure", "group_a", "group_b", "test", "n_a", "n_b", "statistic", "df", "p_one_tail", "p_two_tail", "note"]
     for m in measures:
-        for ga, gb in itertools.combinations(sorted(groups), 2):
+        for ga, gb in itertools.combinations(groups, 2):
             a, b = values.get((m, ga), []), values.get((m, gb), [])
             row = [m, ga, gb, args.test, len(a), len(b)]
             if args.test == "welch_t" and min(len(a), len(b)) < 2:
@@ -334,6 +330,7 @@ def cmd_synthetic(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqcomplexity",
@@ -353,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overlap", type=int, default=0)
     p.add_argument("--boundary", choices=("ignore", "pad"), default="ignore")
     p.add_argument("--missing-block", dest="missing_block", choices=("error", "entropy"), default="error")
-    p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("correlate", help="correlate two measures from a results CSV")
     p.add_argument("--input", required=True)
@@ -362,51 +358,46 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("pearson", "spearman"), default="pearson")
     p.add_argument("--ci", type=float, default=0.99)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("classify", help="two-sample tests per measure across groups")
     p.add_argument("--input", required=True)
     p.add_argument("--group-col", dest="group_col", default="category")
     p.add_argument("--test", choices=("welch_t", "ks"), default="welch_t")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("tree", help="write the assembly or Huffman tree as DOT")
     p.add_argument("--string", required=True)
     p.add_argument("--method", choices=("assembly", "huffman"), default="assembly")
     p.add_argument("--out", required=True)
     p.add_argument("--split", action="store_true", help="use the heuristic pathway")
-    p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("ctm-gen", help="enumerate the (2,2)-machine CTM table")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ctm_gen)
 
     p = sub.add_parser("binarize", help="threshold a matrix CSV to 0/1")
     p.add_argument("--input", required=True)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_binarize)
 
     p = sub.add_parser("champernowne", help="print a Champernowne digit prefix")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--base", type=int, default=10)
-    p.set_defaults(func=cmd_champernowne)
 
     p = sub.add_parser("synthetic", help="emit the seeded synthetic benchmark corpus")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--size", type=int, default=200)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synthetic)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call, not stored in the cached parser, so that a wrapper
+    # set on a cmd_* function later is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except (UsageError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

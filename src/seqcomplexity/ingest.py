@@ -197,22 +197,21 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
 
 
 def load_results(csv_path):
-    """The header and the rows of a results CSV, each row a dict keyed by the
-    header with ``value`` parsed to a finite float (None if empty); a
-    repeated ``(id, measure)`` row raises ValueError."""
+    """The header and the rows of a results CSV as a dict keyed by
+    ``(id, measure)`` in file order, each row a dict keyed by the header with
+    ``value`` parsed to a finite float (None if empty); a repeated
+    ``(id, measure)`` row raises ValueError."""
     header, rows = _csv_rows(csv_path, RESULTS_HEADER)
-    results = []
-    seen = set()
+    table = {}
     for where, cells in rows:
         row = dict(zip(header, cells))
         key = (row["id"], row["measure"])
-        if key in seen:
+        if key in table:
             raise ValueError(f"{where}: measure {row['measure']!r} repeated")
-        seen.add(key)
         cell = row["value"]
         row["value"] = _finite(cell, where, "value") if cell else None
-        results.append(row)
-    return header, results
+        table[key] = row
+    return header, table
 
 
 def write_results(rows, csv_path) -> None:

@@ -37,13 +37,13 @@ def _lzw(s, *_):
 
 
 def _bdm1d(bits, table, p):
-    return bdm.bdm_1d(bits, table, p), f"block={p.block_size};overlap={p.overlap};boundary={p.boundary}"
+    return bdm.bdm_1d(bits, table, p), f"block={p.block_size};overlap={p.overlap};boundary={'ignore' if p.pad_symbol is None else 'pad'}"
 
 
 def _bdm2d(m, table, p):
     r, c = p.block_shape
     # 2D decomposition is always non-overlapping; the overlap is a 1D option
-    return bdm.bdm_2d(m, table, replace(p, overlap=0)), f"block_shape={r}x{c};boundary={p.boundary}"
+    return bdm.bdm_2d(m, table, replace(p, overlap=0)), f"block_shape={r}x{c};boundary={'ignore' if p.pad_symbol is None else 'pad'}"
 
 
 MEASURES: dict[str, Measure] = {

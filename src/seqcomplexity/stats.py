@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import groupby
+from statistics import NormalDist
 
 __all__ = [
     "StatReport",
@@ -95,20 +96,6 @@ def student_t_sf(t: float, df: float) -> float:
     return p if t >= 0 else 1.0 - p
 
 
-def _norm_ppf(p: float) -> float:
-    """Standard normal quantile via bisection on erfc (p in (0, 1))."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p outside (0, 1)")
-    lo, hi = -40.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * math.erfc(-mid / math.sqrt(2.0)) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _tails(t: float, df: float) -> tuple[float, float]:
     one = student_t_sf(abs(t), df)
     return one, min(1.0, 2.0 * one)
@@ -156,7 +143,7 @@ def pearson(xs, ys, ci_level: float = 0.99) -> StatReport:
     one, two = _tails(t, df)
     if n > 3:
         z = math.atanh(r)
-        half = _norm_ppf(1.0 - (1.0 - ci_level) / 2.0) / math.sqrt(n - 3)
+        half = NormalDist().inv_cdf(1.0 - (1.0 - ci_level) / 2.0) / math.sqrt(n - 3)
         lo, hi = math.tanh(z - half), math.tanh(z + half)
     else:
         lo, hi = -1.0, 1.0  # n = 3 carries no Fisher-z information

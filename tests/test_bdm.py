@@ -407,6 +407,17 @@ class TestCtmRoundTrip:
         ctm_save(table, path)
         assert ctm_load(path) == table
 
+    @pytest.mark.parametrize("table", [
+        CtmTable(1, {"a,b": 1.0, "x": 2.0}),
+        CtmTable(1, {'a"b': 1.0, "c\nd": 2.0, " e ": 3.0}),
+        CtmTable(2, {(2, 2, "0,1,"): 4.0, (1, 2, '""'): 5.0}),
+    ], ids=["comma", "quote_newline_space", "2d"])
+    def test_csv_special_blocks_round_trip(self, tmp_path, table):
+        # such blocks are legal, and a file saved with them must load back
+        path = tmp_path / "special.csv"
+        ctm_save(table, path)
+        assert ctm_load(path) == table
+
     def test_save_idempotent_bytes(self, tmp_path, enumerated):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         ctm_save(enumerated, p1)

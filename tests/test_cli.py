@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from seqcomplexity import coding
+from seqcomplexity import cli, coding
 from seqcomplexity._util import fmt12
 from seqcomplexity.cli import main, synthetic_corpus
 from seqcomplexity.deceiver import champernowne
@@ -323,6 +323,32 @@ class TestSmallCommands:
 
     def test_binarize_missing_input_exits_1(self, tmp_path):
         assert main(["binarize", "--input", str(tmp_path / "no.csv"), "--threshold", "1", "--out", str(tmp_path / "b.csv")]) == 1
+
+    def test_parser_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        init = cli.argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        assert main(["champernowne", "--n", "5"]) == 0
+        assert main(["champernowne", "--n", "7"]) == 0
+        assert built.count("seqcomplexity") == 1
+        assert capsys.readouterr().out == "12345\n1234567\n"
+
+    def test_handler_replaced_after_parser_built_runs(self, monkeypatch, capsys):
+        # a wrapper set on a cmd_* function (as a tracer does) must run
+        # even though the parser was built before it was set
+        assert main(["champernowne", "--n", "3"]) == 0
+        calls = []
+        real = cli.cmd_champernowne
+        monkeypatch.setattr(cli, "cmd_champernowne", lambda args: calls.append(args.n) or real(args))
+        assert main(["champernowne", "--n", "4"]) == 0
+        assert calls == [4]
+        assert capsys.readouterr().out == "123\n1234\n"
 
 
 class TestSynthetic:

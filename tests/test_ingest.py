@@ -8,6 +8,7 @@ from seqcomplexity.ingest import (
     binarize_matrix,
     load_dataset,
     load_matrix_csv,
+    load_results,
     sdf_distance_matrix,
     save_matrix_csv,
     text_to_bits,
@@ -198,6 +199,19 @@ class TestDatasetIo:
         lines = out.read_text().splitlines()
         assert lines[0] == "id,category,measure,value,metadata"
         assert lines[1] == "m1,c,entropy,0.333333333333,meta"
+
+    def test_load_results_keyed_by_id_and_measure_in_file_order(self, tmp_path):
+        path = tmp_path / "res.csv"
+        path.write_text(
+            "id,category,measure,value,metadata,extra\n"
+            "m2,b,e,2,x,p\nm1,a,e,,y,q\n\nm1,a,h,1.5,z,r\nm2,b,h,3,w,s\n",
+            encoding="utf-8",
+        )
+        header, table = load_results(path)
+        assert header == ["id", "category", "measure", "value", "metadata", "extra"]
+        assert list(table) == [("m2", "e"), ("m1", "e"), ("m1", "h"), ("m2", "h")]
+        assert table["m1", "h"] == {"id": "m1", "category": "a", "measure": "h", "value": 1.5, "metadata": "z", "extra": "r"}
+        assert [r["value"] for r in table.values()] == [2.0, None, 1.5, 3.0]
 
     def test_matrix_csv_round_trip(self, tmp_path):
         m = np.array([[1.0, 2.5], [3.0, 4.0]])
