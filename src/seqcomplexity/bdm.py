@@ -67,6 +67,7 @@ class CtmTable:
             if not 0 < bits < math.inf:
                 raise ValueError(f"non-positive or non-finite ctm_bits for block {block!r}")
             chars.update(block)
+        self.entries = {key: sig12(bits) for key, bits in self.entries.items()}
         self.alphabet = frozenset(chars)
 
 
@@ -152,7 +153,7 @@ def ctm_enumerate(states: int, symbols: int, step_bound: int) -> CtmTable:
                 total += 1
 
     entries = {
-        block: sig12(-math.log2(c / total))
+        block: -math.log2(c / total)
         for block, c in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
     }
     return CtmTable(
@@ -298,7 +299,7 @@ def ctm_save(table: CtmTable, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CTM_HEADERS[table.dimension])
         for key, bits in table.entries.items():
-            writer.writerow([*(key if table.dimension == 2 else (key,)), f"{sig12(bits):.12g}"])
+            writer.writerow([*(key if table.dimension == 2 else (key,)), f"{bits:.12g}"])
 
 
 def ctm_load(path) -> CtmTable:
@@ -320,7 +321,7 @@ def ctm_load(path) -> CtmTable:
                 raise ValueError(f"{where}: block length does not match rows*cols")
         if key in entries:
             raise ValueError(f"{where}: duplicate block {block!r}")
-        entries[key] = sig12(bits)
+        entries[key] = bits
     if not entries:
         raise ValueError("empty table: header only")
     return CtmTable(dimension=dimension, entries=entries, provenance=f"loaded from {path}")

@@ -13,7 +13,6 @@ import functools
 import itertools
 import random
 import sys
-from dataclasses import dataclass, field
 
 from . import bdm as bdm_mod
 from . import coding, deceiver, stats
@@ -32,7 +31,7 @@ from .ingest import (
 from ._util import fmt12
 from .measures import MEASURES
 
-__all__ = ["main", "entrypoint", "RunConfig", "ALPHABET16"]
+__all__ = ["main", "entrypoint", "ALPHABET16"]
 
 ALPHABET16 = "ABCDEFGHIJKLMNOP"
 
@@ -56,21 +55,11 @@ def _read(what, load, path):
         raise InputError(f"{what}: {exc}") from None
 
 
-@dataclass
-class RunConfig:
-    """Resolved options shared by the measurement pipeline."""
-
-    measures: tuple[str, ...] = ()
-    ctm_tables: "dict[int, bdm_mod.CtmTable]" = field(default_factory=dict)  # keyed by dimension
-    binarize_threshold: float | None = None
-    bdm_params: "bdm_mod.BdmParams | None" = None  # set only when a BDM measure is requested
-
-
-def _binary_matrix(record, config):
+def _binary_matrix(record, threshold):
     """The record's matrix as rows of 0/1 ints, binarized first if a threshold is given."""
     m = record.payload
-    if config.binarize_threshold is not None:
-        m = binarize_matrix(m, config.binarize_threshold)
+    if threshold is not None:
+        m = binarize_matrix(m, threshold)
     if not {v for row in m for v in row} <= {0, 1}:
         raise UsageError(
             f"record {record.id!r}: matrix has non-binary entries; pass --threshold"
@@ -78,60 +67,33 @@ def _binary_matrix(record, config):
     return [[int(v) for v in row] for row in m]
 
 
-def _payload_string(record, config):
-    """String form of a payload: matrices are binarized (if a threshold is
-    given) and flattened row-major to digit characters."""
-    if record.payload_kind == "string":
-        return record.payload, "string"
-    return "".join(str(v) for row in _binary_matrix(record, config) for v in row), "matrix_flat"
+def compute_measure(record, x, measure, tables, params):
+    """``(value, metadata)`` of one record under ``MEASURES[measure]``.
 
-
-def compute_measure(record, measure, config: RunConfig):
-    """``(value, metadata)`` of one record under ``MEASURES[measure]``;
-    inapplicable combinations yield an empty value."""
+    ``x`` is the record's string payload or its binary matrix; ``tables``
+    maps a dimension to its CTM table.  Inapplicable combinations yield an
+    empty value.
+    """
     entry = MEASURES[measure]
     if entry.ctm_dim == 2:
         if record.payload_kind != "matrix":
             return None, "not applicable: string payload"
-        x, suffix = _binary_matrix(record, config), ""
+        suffix = ""
     else:
-        x, source = _payload_string(record, config)
-        if entry.ctm_dim == 1 and source == "string":
+        if record.payload_kind == "matrix":
+            x, source = "".join(str(v) for row in x for v in row), "matrix_flat"
+        elif entry.ctm_dim == 1:
             x, source = text_to_bits(x), "utf8_bits"
+        else:
+            source = "string"
         suffix = f";input={source}"
     try:
-        value, note = entry.compute(x, config.ctm_tables.get(entry.ctm_dim), config.bdm_params)
+        value, note = entry.compute(x, tables.get(entry.ctm_dim), params)
     except (KeyError, ValueError) as exc:
         raise UsageError(f"record {record.id!r}, measure {measure!r}: {exc.args[0] if exc.args else exc}") from None
-    if entry.ctm_dim and config.bdm_params.missing_block_policy != "error":
-        suffix += f";missing={config.bdm_params.missing_block_policy}"
+    if entry.ctm_dim and params.missing_block_policy != "error":
+        suffix += f";missing={params.missing_block_policy}"
     return value, note + suffix
-
-
-def _build_config(args) -> RunConfig:
-    measures = tuple(m.strip() for m in args.measures.split(",")) if args.measures else ()
-    for i, m in enumerate(measures):
-        if m not in MEASURES:
-            raise UsageError(f"unknown measure {m!r}; choose from {','.join(MEASURES)}")
-        if m in measures[:i]:
-            raise UsageError(f"--measures names {m!r} twice")
-    if args.toy_ctm and args.ctm_table:
-        raise UsageError("--toy-ctm and --ctm-table are mutually exclusive")
-    tables = (bdm_mod.toy_table_1d(), bdm_mod.toy_table_2d()) if args.toy_ctm else ()
-    if args.ctm_table:
-        tables = (_read(f"CTM table {args.ctm_table}", bdm_mod.ctm_load, args.ctm_table),)
-    config = RunConfig(
-        measures=measures,
-        ctm_tables={t.dimension: t for t in tables},
-        binarize_threshold=args.threshold,
-    )
-    for m in measures:
-        dim = MEASURES[m].ctm_dim
-        if dim and dim not in config.ctm_tables:
-            raise UsageError(f"{m} requires --ctm-table ({dim}D) or --toy-ctm")
-    if any(MEASURES[m].ctm_dim for m in measures):
-        config.bdm_params = _bdm_params(args)
-    return config
 
 
 def _bdm_params(args) -> "bdm_mod.BdmParams":
@@ -155,15 +117,30 @@ def _bdm_params(args) -> "bdm_mod.BdmParams":
 
 
 def cmd_measure(args) -> int:
-    config = _build_config(args)
-    if not config.measures:
+    measures = tuple(m.strip() for m in args.measures.split(",")) if args.measures else ()
+    for i, m in enumerate(measures):
+        if m not in MEASURES:
+            raise UsageError(f"unknown measure {m!r}; choose from {','.join(MEASURES)}")
+        if m in measures[:i]:
+            raise UsageError(f"--measures names {m!r} twice")
+    if args.toy_ctm and args.ctm_table:
+        raise UsageError("--toy-ctm and --ctm-table are mutually exclusive")
+    tables = (bdm_mod.toy_table_1d(), bdm_mod.toy_table_2d()) if args.toy_ctm else ()
+    if args.ctm_table:
+        tables = (_read(f"CTM table {args.ctm_table}", bdm_mod.ctm_load, args.ctm_table),)
+    tables = {t.dimension: t for t in tables}
+    dims = [MEASURES[m].ctm_dim for m in measures]
+    for m, dim in zip(measures, dims):
+        if dim and dim not in tables:
+            raise UsageError(f"{m} requires --ctm-table ({dim}D) or --toy-ctm")
+    params = _bdm_params(args) if any(dims) else None
+    if not measures:
         raise UsageError("--measures is required")
     records = _read(f"dataset {args.input}", load_dataset, args.input)
-    rows = [
-        (record.id, record.category, measure, *compute_measure(record, measure, config))
-        for record in records
-        for measure in config.measures
-    ]
+    rows = []
+    for record in records:
+        x = record.payload if record.payload_kind == "string" else _binary_matrix(record, args.threshold)
+        rows += [(record.id, record.category, m, *compute_measure(record, x, m, tables, params)) for m in measures]
     write_results(rows, args.out)
     return 0
 
@@ -299,12 +276,10 @@ def synthetic_corpus(seed: int, size: int):
                 seed_str = "".join(rng.choice(ALPHABET16) for _ in range(rng.randint(1, 2)))
                 period = rng.randint(2, 6)
                 extensions = tuple(rng.choice(ALPHABET16) for _ in range(3))
-
-                def length(steps):
-                    return sum(len(seed_str) + (i - 1) // period for i in range(1, steps + 1))
-
-                steps = 1
-                while length(steps + 1) <= target:
+                # step i appends len(seed_str) + (i - 1) // period symbols
+                steps, length = 1, len(seed_str)
+                while length + len(seed_str) + steps // period <= target:
+                    length += len(seed_str) + steps // period
                     steps += 1
                 spec = deceiver.GeneratorSpec(
                     kind="modular", seed=seed_str, period=period,

@@ -143,7 +143,8 @@ def pearson(xs, ys, ci_level: float = 0.99) -> StatReport:
     one, two = _tails(t, df)
     if n > 3:
         z = math.atanh(r)
-        half = NormalDist().inv_cdf(1.0 - (1.0 - ci_level) / 2.0) / math.sqrt(n - 3)
+        # the lower quantile, negated: 1 - (1 - ci_level)/2 rounds to 1.0 for a level just below 1
+        half = -NormalDist().inv_cdf((1.0 - ci_level) / 2.0) / math.sqrt(n - 3)
         lo, hi = math.tanh(z - half), math.tanh(z + half)
     else:
         lo, hi = -1.0, 1.0  # n = 3 carries no Fisher-z information

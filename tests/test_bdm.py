@@ -418,6 +418,13 @@ class TestCtmRoundTrip:
         ctm_save(table, path)
         assert ctm_load(path) == table
 
+    def test_table_built_in_code_round_trip(self, tmp_path):
+        # values are rounded when the table is made, not only on save or load
+        path = tmp_path / "pi.csv"
+        table = CtmTable(1, {"0": math.pi, "1": 2.0})
+        ctm_save(table, path)
+        assert ctm_load(path) == table
+
     def test_save_idempotent_bytes(self, tmp_path, enumerated):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         ctm_save(enumerated, p1)

@@ -126,6 +126,22 @@ class TestMeasure:
         data = _write_dataset(tmp_path, ["m1,c,matrix,m.csv,"])
         assert main(["measure", "--input", data, "--out", str(tmp_path / "o.csv"), "--measures", "entropy"]) == 2
 
+    def test_empty_measures_exits_2(self, tmp_path, capsys):
+        data = _write_dataset(tmp_path, ["m1,c,string,AB,"])
+        out = tmp_path / "o.csv"
+        assert main(["measure", "--input", data, "--out", str(out), "--measures", ""]) == 2
+        assert "--measures is required" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_binary_matrix_under_bdm_exits_2(self, tmp_path, capsys):
+        (tmp_path / "m.csv").write_text("0,7\n2,9\n")
+        data = _write_dataset(tmp_path, ["s1,c,string,AB,", "m1,c,matrix,m.csv,"])
+        out = tmp_path / "o.csv"
+        code = main(["measure", "--input", data, "--out", str(out), "--measures", "bdm2d,bdm1d", "--toy-ctm"])
+        assert code == 2
+        assert "record 'm1': matrix has non-binary entries; pass --threshold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_payload_over_csv_field_limit(self, tmp_path):
         # longer than the csv module's default 131,072-character field limit
         s = champernowne(200_000, 10)

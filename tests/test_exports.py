@@ -41,12 +41,37 @@ def test_only_ingest_opens_files_for_reading():
     assert not readers
 
 
-def test_every_benchmark_traced_name_resolves():
-    """The benchmark's tracer wraps package functions by name; a name it
-    wraps must not vanish from the module it is looked up in."""
+def _tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracing.TARGETS if not callable(getattr(module, attr, None))]
-    assert tracing.TARGETS and not missing
+    return tracing
+
+
+def test_every_benchmark_traced_name_resolves():
+    """The benchmark's tracer wraps package functions by name; a name it
+    wraps must not vanish from the module it is looked up in."""
+    targets = _tracing().TARGETS
+    missing = [f"{module.__name__}.{attr}" for module, attr, *_ in targets if not callable(getattr(module, attr, None))]
+    assert targets and not missing
+
+
+def _imports(tree):
+    """``(line, bound name)`` of every import in ``tree``, ``__future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.asname or a.name.partition(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, a.asname or a.name) for a in node.names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_dead_imports(name):
+    """An imported name is used, exported, or wrapped there by the benchmark's tracer."""
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    kept = used | set(getattr(module, "__all__", ())) | {attr for m, attr, *_ in _tracing().TARGETS if m is module}
+    dead = [f"{line}:{n}" for line, n in _imports(tree) if n not in kept]
+    assert not dead

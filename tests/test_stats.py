@@ -63,6 +63,11 @@ class TestPearson:
         narrow = pearson(xs, ys, ci_level=0.90)
         assert wide.ci_high - wide.ci_low > narrow.ci_high - narrow.ci_low
 
+    def test_ci_level_just_below_one(self):
+        # 1 - (1 - level)/2 rounds to 1.0 here, outside the normal quantile's domain
+        rep = pearson([1, 2, 3, 5], [2, 1, 4, 3], ci_level=0.9999999999999999)
+        assert -1.0 < rep.ci_low < rep.statistic < rep.ci_high < 1.0
+
     @given(SERIES, SERIES)
     @settings(max_examples=40, deadline=None)
     def test_symmetry_and_range(self, xs, ys):
