@@ -75,15 +75,15 @@ class CtmTable:
 class BdmParams:
     """Partition parameters for block decomposition.
 
-    ``block_size`` applies to 1D, ``block_shape`` to 2D; ``overlap`` must
-    stay below the block size (2D decomposition is always non-overlapping).
-    A partial block is dropped when ``pad_symbol`` is None and padded with
-    it otherwise; ``missing_block_policy`` is ``error`` or
+    ``bdm_1d`` reads ``block_size`` and ``overlap``, which must stay below
+    it; ``bdm_2d`` reads ``block_shape`` and never overlaps.  A partial
+    block is dropped when ``pad_symbol`` is None and padded with it
+    otherwise; ``missing_block_policy`` is ``error`` or
     ``entropy_surrogate``.
     """
 
-    block_size: int | None = None
-    block_shape: tuple[int, int] | None = None
+    block_size: int = 2
+    block_shape: tuple[int, int] = (2, 2)
     overlap: int = 0
     missing_block_policy: str = "error"
     pad_symbol: str | None = None
@@ -91,15 +91,13 @@ class BdmParams:
     def __post_init__(self):
         if self.missing_block_policy not in ("error", "entropy_surrogate"):
             raise ValueError("missing_block_policy must be 'error' or 'entropy_surrogate'")
-        if self.block_size is not None:
-            if self.block_size < 1:
-                raise ValueError("block_size must be positive")
-            if not 0 <= self.overlap < self.block_size:
-                raise ValueError("overlap must satisfy 0 <= overlap < block_size")
-        if self.block_shape is not None:
-            r, c = self.block_shape
-            if r < 1 or c < 1:
-                raise ValueError("block_shape entries must be positive")
+        if self.block_size < 1:
+            raise ValueError("block_size must be positive")
+        if not 0 <= self.overlap < self.block_size:
+            raise ValueError("overlap must satisfy 0 <= overlap < block_size")
+        r, c = self.block_shape
+        if r < 1 or c < 1:
+            raise ValueError("block_shape entries must be positive")
 
 
 def _run_machine(cells, blank, step_bound):
@@ -194,12 +192,9 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
 
     A list or tuple of one-character symbols scores as their joined string.
     """
-    if params is None:
-        params = BdmParams(block_size=2)
+    params = params or BdmParams()
     if table.dimension != 1:
         raise ValueError("bdm_1d requires a 1-dimensional table")
-    if params.block_size is None:
-        raise ValueError("params.block_size required for 1D decomposition")
     size = params.block_size
     if not isinstance(s, str):
         s = "".join(s)
@@ -251,15 +246,11 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
 
 
 def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
-    """BDM of a matrix, given as equal-length rows, tiled row-major with non-overlapping blocks."""
-    if params is None:
-        params = BdmParams(block_shape=(2, 2))
+    """BDM of a matrix, given as equal-length rows, tiled row-major with
+    non-overlapping blocks of ``params.block_shape``; ``overlap`` is not read."""
+    params = params or BdmParams()
     if table.dimension != 2:
         raise ValueError("bdm_2d requires a 2-dimensional table")
-    if params.block_shape is None:
-        raise ValueError("params.block_shape required for 2D decomposition")
-    if params.overlap:
-        raise ValueError("2D decomposition is non-overlapping")
     try:
         m = list(m)
         widths = {len(row) for row in m}

@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import itertools
+import math
 import random
 import sys
 
@@ -55,6 +56,17 @@ def _read(what, load, path):
         raise InputError(f"{what}: {exc}") from None
 
 
+def _finite_float(text):
+    """argparse ``type`` of an option that takes a finite number."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def _binary_matrix(record, threshold):
     """The record's matrix as rows of 0/1 ints, binarized first if a threshold is given."""
     m = record.payload
@@ -97,13 +109,11 @@ def compute_measure(record, x, measure, tables, params):
 
 
 def _bdm_params(args) -> "bdm_mod.BdmParams":
-    block_shape = (2, 2)
-    if args.block_shape:
-        try:
-            r, c = args.block_shape.lower().split("x")
-            block_shape = (int(r), int(c))
-        except ValueError:
-            raise UsageError("--block-shape must look like RxC, e.g. 2x2") from None
+    try:
+        r, c = args.block_shape.lower().split("x")
+        block_shape = (int(r), int(c))
+    except ValueError:
+        raise UsageError("--block-shape must look like RxC, e.g. 2x2") from None
     try:
         return bdm_mod.BdmParams(
             block_size=args.block,
@@ -319,9 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", required=True, help="comma-separated subset of " + ",".join(MEASURES))
     p.add_argument("--ctm-table", dest="ctm_table")
     p.add_argument("--toy-ctm", dest="toy_ctm", action="store_true")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=_finite_float)
     p.add_argument("--block", type=int, default=2)
-    p.add_argument("--block-shape", dest="block_shape")
+    p.add_argument("--block-shape", dest="block_shape", default="2x2")
     p.add_argument("--overlap", type=int, default=0)
     p.add_argument("--boundary", choices=("ignore", "pad"), default="ignore")
     p.add_argument("--missing-block", dest="missing_block", choices=("error", "entropy"), default="error")
@@ -351,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("binarize", help="threshold a matrix CSV to 0/1")
     p.add_argument("--input", required=True)
-    p.add_argument("--threshold", type=float, required=True)
+    p.add_argument("--threshold", type=_finite_float, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("champernowne", help="print a Champernowne digit prefix")

@@ -96,7 +96,10 @@ def text_to_bits(s: str) -> str:
 
 
 def binarize_matrix(m, threshold: float) -> list[list[int]]:
-    """Rows of 1 where strictly greater than ``threshold``, else 0; shape preserved."""
+    """Rows of 1 where strictly greater than ``threshold``, else 0; shape
+    preserved.  A non-finite ``threshold`` raises ValueError."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"non-finite threshold {threshold!r}")
     return _rectangular([[int(v > threshold) for v in row] for row in m])
 
 

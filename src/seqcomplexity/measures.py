@@ -3,7 +3,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from . import assembly, bdm, coding
@@ -42,8 +42,7 @@ def _bdm1d(bits, table, p):
 
 def _bdm2d(m, table, p):
     r, c = p.block_shape
-    # 2D decomposition is always non-overlapping; the overlap is a 1D option
-    return bdm.bdm_2d(m, table, replace(p, overlap=0)), f"block_shape={r}x{c};boundary={'ignore' if p.pad_symbol is None else 'pad'}"
+    return bdm.bdm_2d(m, table, p), f"block_shape={r}x{c};boundary={'ignore' if p.pad_symbol is None else 'pad'}"
 
 
 MEASURES: dict[str, Measure] = {

@@ -491,3 +491,23 @@ class TestValidation:
     def test_overlap_bounds(self):
         with pytest.raises(ValueError, match="overlap"):
             BdmParams(block_size=2, overlap=2)
+
+    def test_defaults_are_the_toy_partitions(self):
+        params = BdmParams()
+        assert (params.block_size, params.block_shape, params.overlap) == (2, (2, 2), 0)
+        assert bdm_1d("0110", toy_table_1d(), None) == bdm_1d("0110", toy_table_1d(), params)
+
+    @pytest.mark.parametrize("kwargs", [{"block_size": 0}, {"block_shape": (0, 1)}, {"block_shape": (2, -1)}])
+    def test_non_positive_partition_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="positive"):
+            BdmParams(**kwargs)
+
+    def test_overlap_checked_when_built_for_2d(self):
+        # the overlap is checked against block_size even when only bdm_2d reads the params
+        with pytest.raises(ValueError, match="overlap"):
+            BdmParams(block_shape=(3, 3), overlap=2)
+
+    def test_bdm_2d_ignores_overlap(self):
+        m = [[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
+        table = toy_table_2d()
+        assert bdm_2d(m, table, BdmParams(overlap=1)) == bdm_2d(m, table, BdmParams()) == bdm_2d(m, table)

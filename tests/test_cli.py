@@ -1,18 +1,19 @@
 import csv
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from seqcomplexity import cli, coding
 from seqcomplexity._util import fmt12
 from seqcomplexity.cli import main, synthetic_corpus
-from seqcomplexity.deceiver import champernowne
+from seqcomplexity.deceiver import GeneratorSpec, champernowne, modular_generate
 from seqcomplexity.measures import Measure
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -254,6 +255,18 @@ class TestClassify:
         assert main(["classify", "--input", res, "--test", "welch_t"]) == 0
         assert "skipped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("test, rows, note", [
+        # measure f has values in group b only
+        ("ks", ["m1,a,e,1,", "m2,b,e,2,", "m3,b,f,3,"], "skipped: empty group"),
+        ("welch_t", ["m1,a,e,1,", "m2,a,e,1,", "m3,b,e,2,", "m4,b,e,2,"],
+         "skipped: zero variance in both samples with unequal means"),
+    ])
+    def test_skip_notes(self, tmp_path, capsys, test, rows, note):
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(["id,category,measure,value,metadata", *rows]) + "\n", encoding="utf-8")
+        assert main(["classify", "--input", str(path), "--test", test]) == 0
+        assert list(csv.reader(capsys.readouterr().out.splitlines()))[-1][-1] == note
+
     def test_identical_groups_t_zero(self, tmp_path, capsys):
         data = _write_dataset(
             tmp_path,
@@ -337,6 +350,23 @@ class TestSmallCommands:
         assert main(["binarize", "--input", str(src), "--threshold", "3", "--out", out]) == 0
         assert Path(out).read_text() == "0,1\n0,0\n"
 
+    @pytest.mark.parametrize("command", ["binarize", "measure"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "x"])
+    def test_bad_threshold_exits_2(self, tmp_path, capsys, command, threshold):
+        (tmp_path / "m.csv").write_text("1,2\n3,4\n")
+        out = tmp_path / "o.csv"
+        if command == "binarize":
+            argv = ["binarize", "--input", str(tmp_path / "m.csv"), "--out", str(out)]
+        else:
+            data = _write_dataset(tmp_path, ["m1,c,matrix,m.csv,"])
+            argv = ["measure", "--input", data, "--out", str(out), "--toy-ctm", "--measures", "bdm2d"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--threshold={threshold}"])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--threshold" in errors[0]
+        assert not out.exists()
+
     def test_binarize_missing_input_exits_1(self, tmp_path):
         assert main(["binarize", "--input", str(tmp_path / "no.csv"), "--threshold", "1", "--out", str(tmp_path / "b.csv")]) == 1
 
@@ -390,6 +420,14 @@ class TestSynthetic:
         for _, _, p in rows:
             alphabet.update(p)
         assert alphabet <= set("ABCDEFGHIJKLMNOP")
+
+    def test_short_modular_payload_padded(self):
+        rows = synthetic_corpus(86, 8)
+        assert all(20 <= len(p) <= 200 for _, _, p in rows)
+        # mod001 expands seed G, period 4, over 10 steps to 18 characters
+        expansion = modular_generate(GeneratorSpec(kind="modular", seed="G", period=4, steps=10, extension_symbols=("B", "F")))
+        assert len(expansion) == 18
+        assert dict((rid, p) for rid, _, p in rows)["mod001"] == (expansion * 2)[:20]
 
     @pytest.mark.parametrize("size", ["0", "-5"])
     def test_non_positive_size_exits_2(self, tmp_path, capsys, size):
@@ -467,6 +505,45 @@ class TestMeasureFailures:
         assert code == 1
         assert f"CTM table {table}: line 3: non-finite ctm_bits '{bits}'" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBdmFlags:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # the defaults are drawn often, so that some runs get past every check
+    @given(
+        block=st.one_of(st.just(2), st.integers(-2, 6)),
+        overlap=st.one_of(st.just(0), st.integers(-2, 6)),
+        shape=st.one_of(
+            st.sampled_from(["", "2x2", "0x1", "ax2", "1x2", "3X1"]),
+            st.builds("{}x{}".format, st.integers(-1, 4), st.integers(-1, 4)),
+            st.text("0123x-a ", max_size=5),
+        ),
+        threshold=st.one_of(st.sampled_from([3.0, math.nan, math.inf, -math.inf]), st.floats(), st.none()),
+        boundary=st.sampled_from(["ignore", "pad"]),
+        missing=st.sampled_from(["error", "entropy"]),
+    )
+    @example(block=2, overlap=1, shape="2x2", threshold=3.0, boundary="ignore", missing="error")
+    def test_exits_0_or_2(self, tmp_path, block, overlap, shape, threshold, boundary, missing):
+        """Every value of the BDM flags exits 0 with both rows, or 2, and
+        never raises anything but argparse's exit."""
+        (tmp_path / "m.csv").write_text("0,7,5,1\n9,0,5,5\n5,4,0,0\n")
+        data = _write_dataset(tmp_path, ["m1,c,matrix,m.csv,"])
+        out = tmp_path / "res.csv"
+        out.unlink(missing_ok=True)
+        argv = [
+            "measure", "--input", data, "--out", str(out), "--toy-ctm", "--measures", "bdm1d,bdm2d",
+            f"--block={block}", f"--overlap={overlap}", f"--block-shape={shape}",
+            f"--boundary={boundary}", f"--missing-block={missing}",
+        ]
+        if threshold is not None:
+            argv.append(f"--threshold={threshold!r}")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2)
+        if code == 0:
+            assert [r["measure"] for r in _read_csv(out)] == ["bdm1d", "bdm2d"]
 
 
 class TestMalformedResults:

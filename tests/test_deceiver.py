@@ -89,6 +89,10 @@ class TestModular:
         with pytest.raises(ValueError, match="positive"):
             GeneratorSpec(kind="modular", seed="A", period=1, steps=0)
 
+    def test_champernowne_spec_rejected(self):
+        with pytest.raises(ValueError, match="spec kind must be 'modular'"):
+            modular_generate(GeneratorSpec(kind="champernowne", length=5))
+
     def test_empty_seed_rejected(self):
         with pytest.raises(ValueError, match="empty seed"):
             GeneratorSpec(kind="modular", seed="", period=1, steps=1)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -67,6 +68,11 @@ class TestBinarize:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError, match="ragged"):
             binarize_matrix([[1, 2], [3]], 1)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="non-finite threshold"):
+            binarize_matrix([[1, 2], [3, 4]], threshold)
 
     @given(st.floats(min_value=0.01, max_value=0.99))
     def test_idempotent_on_binary(self, t):
