@@ -160,10 +160,10 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     self-reference are at most that many (Rytter, TCS 2003).  For every
     substring the search keeps the number of its cuts whose two parts are
     built, and updates only the counts of the substrings using an object
-    when that object is built or dropped.  With two joins left and the
-    target not yet joinable, the next object must complete a cut of the
-    target, so the search takes the first such object instead of trying
-    every candidate.
+    when that object is built or dropped.  With two joins left the target
+    is not joinable (a smaller depth or the lower bound rules out a shorter
+    pathway), so the next object must complete a cut of the target: the
+    search takes the first such object instead of trying every candidate.
 
     Returns ``(index, AssemblyPathway)``.  The witness is the
     lexicographically smallest canonically ordered minimal pathway.
@@ -174,10 +174,10 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
         raise ValueError(
             f"length {len(s)} exceeds exact-search guard {limit}; use split heuristic"
         )
-    if len(s) == 1:
-        return 0, _fold_pathway(s, ())
-
     n = len(s)
+    if n <= 2:
+        return n - 1, _fold_pathway(s, [(s, tuple(s))] if n == 2 else ())
+
     ordered, splits = _substring_universe(s)
     target_id = len(ordered) - 1
     available = [len(w) == 1 for w in ordered]
@@ -205,15 +205,10 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     chosen = []
 
     def dfs(start, remaining):
-        if remaining == 1:
-            if cuts[target_id]:
-                chosen.append(target_id)
-                return True
-            return False
-        if remaining == 2 and not cuts[target_id]:
-            # the last object must complete a cut of the target; ids from
-            # start on are not built yet, so this is the first one the loop
-            # below would find
+        if remaining == 2:
+            # no pathway is one join shorter, so the target is not joinable and
+            # the last object must complete one of its cuts; ids from start on
+            # are not built yet, so this is the first one the loop below finds
             last = target_id
             for u, v in splits[target_id]:
                 if available[u]:

@@ -1,8 +1,8 @@
 """Command-line pipeline: dataset -> measures -> statistics -> reports.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 usage or configuration
-error.  All CSV output is deterministic for fixed inputs and flags;
-floats are printed with 12 significant digits.
+Exit codes: 0 success, 1 an input file that fails to read or parse, 2 any
+other rejected value.  All CSV output is deterministic for fixed inputs
+and flags; floats are printed with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -37,12 +37,8 @@ __all__ = ["main", "entrypoint", "ALPHABET16"]
 ALPHABET16 = "ABCDEFGHIJKLMNOP"
 
 
-class UsageError(Exception):
-    """Configuration problem: maps to exit code 2."""
-
-
 class InputError(Exception):
-    """I/O or parse problem: maps to exit code 1."""
+    """An input file failed to read or parse: maps to exit code 1."""
 
 
 def _read(what, load, path):
@@ -73,7 +69,7 @@ def _binary_matrix(record, threshold):
     if threshold is not None:
         m = binarize_matrix(m, threshold)
     if not {v for row in m for v in row} <= {0, 1}:
-        raise UsageError(
+        raise ValueError(
             f"record {record.id!r}: matrix has non-binary entries; pass --threshold"
         )
     return [[int(v) for v in row] for row in m]
@@ -102,7 +98,7 @@ def compute_measure(record, x, measure, tables, params):
     try:
         value, note = entry.compute(x, tables.get(entry.ctm_dim), params)
     except (KeyError, ValueError) as exc:
-        raise UsageError(f"record {record.id!r}, measure {measure!r}: {exc.args[0] if exc.args else exc}") from None
+        raise ValueError(f"record {record.id!r}, measure {measure!r}: {exc.args[0] if exc.args else exc}") from None
     if entry.ctm_dim and params.missing_block_policy != "error":
         suffix += f";missing={params.missing_block_policy}"
     return value, note + suffix
@@ -113,28 +109,25 @@ def _bdm_params(args) -> "bdm_mod.BdmParams":
         r, c = args.block_shape.lower().split("x")
         block_shape = (int(r), int(c))
     except ValueError:
-        raise UsageError("--block-shape must look like RxC, e.g. 2x2") from None
-    try:
-        return bdm_mod.BdmParams(
-            block_size=args.block,
-            block_shape=block_shape,
-            overlap=args.overlap,
-            missing_block_policy="entropy_surrogate" if args.missing_block == "entropy" else "error",
-            pad_symbol="0" if args.boundary == "pad" else None,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError("--block-shape must look like RxC, e.g. 2x2") from None
+    return bdm_mod.BdmParams(
+        block_size=args.block,
+        block_shape=block_shape,
+        overlap=args.overlap,
+        missing_block_policy="entropy_surrogate" if args.missing_block == "entropy" else "error",
+        pad_symbol="0" if args.boundary == "pad" else None,
+    )
 
 
 def cmd_measure(args) -> int:
     measures = tuple(m.strip() for m in args.measures.split(",")) if args.measures else ()
     for i, m in enumerate(measures):
         if m not in MEASURES:
-            raise UsageError(f"unknown measure {m!r}; choose from {','.join(MEASURES)}")
+            raise ValueError(f"unknown measure {m!r}; choose from {','.join(MEASURES)}")
         if m in measures[:i]:
-            raise UsageError(f"--measures names {m!r} twice")
+            raise ValueError(f"--measures names {m!r} twice")
     if args.toy_ctm and args.ctm_table:
-        raise UsageError("--toy-ctm and --ctm-table are mutually exclusive")
+        raise ValueError("--toy-ctm and --ctm-table are mutually exclusive")
     tables = (bdm_mod.toy_table_1d(), bdm_mod.toy_table_2d()) if args.toy_ctm else ()
     if args.ctm_table:
         tables = (_read(f"CTM table {args.ctm_table}", bdm_mod.ctm_load, args.ctm_table),)
@@ -142,10 +135,10 @@ def cmd_measure(args) -> int:
     dims = [MEASURES[m].ctm_dim for m in measures]
     for m, dim in zip(measures, dims):
         if dim and dim not in tables:
-            raise UsageError(f"{m} requires --ctm-table ({dim}D) or --toy-ctm")
+            raise ValueError(f"{m} requires --ctm-table ({dim}D) or --toy-ctm")
     params = _bdm_params(args) if any(dims) else None
     if not measures:
-        raise UsageError("--measures is required")
+        raise ValueError("--measures is required")
     records = _read(f"dataset {args.input}", load_dataset, args.input)
     rows = []
     for record in records:
@@ -160,18 +153,18 @@ def cmd_correlate(args) -> int:
     present = {m for _, m in table}
     for m in (args.x, args.y):
         if m not in present:
-            raise UsageError(f"measure {m!r} absent from results file")
+            raise ValueError(f"measure {m!r} absent from results file")
     values = {key: r["value"] for key, r in table.items() if r["value"] is not None}
     shared = [i for i, m in values if m == args.x and (i, args.y) in values]
     if len(shared) < 3:
-        raise UsageError(f"need >= 3 shared ids with both measures, found {len(shared)}")
+        raise ValueError(f"need >= 3 shared ids with both measures, found {len(shared)}")
     xs = [values[i, args.x] for i in shared]
     ys = [values[i, args.y] for i in shared]
     fn = stats.pearson if args.method == "pearson" else stats.spearman
     try:
         rep = fn(xs, ys, ci_level=args.ci)
     except ValueError as exc:
-        raise UsageError(f"{args.method} {args.x} vs {args.y}: {exc}") from None
+        raise ValueError(f"{args.method} {args.x} vs {args.y}: {exc}") from None
     cells = [fmt12(v) for v in (rep.statistic, rep.df, rep.p_one_tail, rep.p_two_tail, rep.ci_low, rep.ci_high)]
     stat, df, p_one, p_two, ci_low, ci_high = cells
     print(
@@ -190,7 +183,7 @@ def cmd_classify(args) -> int:
     columns, table = _read(f"results file {args.input}", load_results, args.input)
     group_col = args.group_col
     if group_col not in columns:
-        raise UsageError(f"group column {group_col!r} not in results file")
+        raise ValueError(f"group column {group_col!r} not in results file")
     values = {}
     for (_, m), r in table.items():
         if r["value"] is not None:
@@ -198,7 +191,7 @@ def cmd_classify(args) -> int:
     measures = list(dict.fromkeys(m for m, _ in values))
     groups = sorted({g for _, g in values})
     if len(groups) < 2:
-        raise UsageError(f"need >= 2 groups in column {group_col!r}, found {len(groups)}")
+        raise ValueError(f"need >= 2 groups in column {group_col!r}, found {len(groups)}")
     out_rows = []
     header = ["measure", "group_a", "group_b", "test", "n_a", "n_b", "statistic", "df", "p_one_tail", "p_two_tail", "note"]
     for m in measures:
@@ -226,14 +219,15 @@ def cmd_classify(args) -> int:
 def cmd_tree(args) -> int:
     s = args.string
     if not s:
-        raise InputError("empty input string")
+        raise ValueError("empty input string")
+    s.encode("utf-8")  # a non-UTF-8 argument arrives with lone surrogates: fail before any work
     if args.method == "huffman":
         dot = coding.huffman_tree_dot(coding.huffman(s))
     else:
         try:
             _, pathway = assembly_index_split(s) if args.split else assembly_index_exact(s)
         except ValueError as exc:
-            raise UsageError(f"{exc}: pass --split") from None
+            raise ValueError(f"{exc}: pass --split") from None
         dot = assembly_tree_dot(pathway)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(dot)
@@ -253,10 +247,7 @@ def cmd_binarize(args) -> int:
 
 
 def cmd_champernowne(args) -> int:
-    try:
-        print(deceiver.champernowne(args.n, args.base))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    print(deceiver.champernowne(args.n, args.base))
     return 0
 
 
@@ -309,7 +300,7 @@ def synthetic_corpus(seed: int, size: int):
 
 def cmd_synthetic(args) -> int:
     if args.size < 1:
-        raise UsageError(f"--size must be positive, got {args.size}")
+        raise ValueError(f"--size must be positive, got {args.size}")
     rows = synthetic_corpus(args.seed, args.size)
     write_csv(args.out, [DATASET_HEADER, *([rid, cat, "string", payload, ""] for rid, cat, payload in rows)])
     return 0
@@ -381,11 +372,15 @@ def main(argv=None) -> int:
     # looked up per call, not stored in the cached parser, so that a wrapper
     # set on a cmd_* function later is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
+    # argparse in CPython 3.10-3.12 reads --opt=-- as an empty list of values
+    empty = [name for name, value in vars(args).items() if value == []]
     try:
+        if empty:
+            raise ValueError(f"argument --{empty[0].replace('_', '-')}: expected one argument")
         return handler(args)
-    except (UsageError, InputError, OSError) as exc:
+    except (ValueError, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 1
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def entrypoint() -> None:

@@ -36,14 +36,15 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 DEFAULT_MEASURES = ("entropy", "huffman", "rle", "lzw", "ma_split")
 _BDM_PARAMS = _bdm.BdmParams()
+CHAMPERNOWNE_CAP = 10**8  # longest prefix champernowne builds, all of it in memory
 
 
 def champernowne(n: int, base: int = 10) -> str:
     """First ``n`` characters of the digits of 1, 2, 3, ... written in ``base``."""
     if not 2 <= base <= 36:
         raise ValueError("base out of range [2, 36]")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    if not 0 <= n <= CHAMPERNOWNE_CAP:
+        raise ValueError(f"n outside [0, {CHAMPERNOWNE_CAP}]")
     # the d-digit numbers in increasing order are the d-tuples of digits
     # with a nonzero lead, in lexicographic order
     digits = _DIGITS[:base]

@@ -116,19 +116,26 @@ def _check_pair(xs, ys):
         raise ValueError("zero variance")
 
 
+def _scaled(*samples):
+    """The samples times the power of two that puts their largest magnitude
+    in [0.5, 1): exact unless a product falls below the normal range, so no
+    statistic changes, yet no square of a deviation overflows."""
+    shift = -math.frexp(max(abs(v) for sample in samples for v in sample))[1]
+    return [[math.ldexp(v, shift) for v in sample] for sample in samples]
+
+
 def pearson(xs, ys, ci_level: float = 0.99) -> StatReport:
     """Sample Pearson correlation with t-based p-values and Fisher-z CI."""
     _check_pair(xs, ys)
     if not 0.0 < ci_level < 1.0:
         raise ValueError("ci_level outside (0, 1)")
     n = len(xs)
+    (xs,), (ys,) = _scaled(xs), _scaled(ys)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
     sxx = math.fsum((x - mx) ** 2 for x in xs)
     syy = math.fsum((y - my) ** 2 for y in ys)
-    if sxx == 0.0 or syy == 0.0:  # constant at working precision (underflow)
-        raise ValueError("zero variance")
     r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
 
@@ -180,6 +187,7 @@ def welch_t(a, b) -> StatReport:
         raise ValueError("need at least 2 observations per sample")
     _check_finite(a, b)
     na, nb = len(a), len(b)
+    a, b = _scaled(a, b)
     ma = math.fsum(a) / na
     mb = math.fsum(b) / nb
     va = math.fsum((x - ma) ** 2 for x in a) / (na - 1)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from seqcomplexity import cli, coding
 from seqcomplexity._util import fmt12
 from seqcomplexity.cli import main, synthetic_corpus
-from seqcomplexity.deceiver import GeneratorSpec, champernowne, modular_generate
+from seqcomplexity.deceiver import CHAMPERNOWNE_CAP, GeneratorSpec, champernowne, modular_generate
 from seqcomplexity.measures import Measure
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -319,8 +320,17 @@ class TestTree:
 
         assert max(leaf_depths(root)) == 4
 
-    def test_empty_string_exits_1(self, tmp_path):
-        assert main(["tree", "--string", "", "--out", str(tmp_path / "t.dot")]) == 1
+    def test_empty_string_exits_2(self, tmp_path):
+        assert main(["tree", "--string", "", "--out", str(tmp_path / "t.dot")]) == 2
+
+    @pytest.mark.parametrize("method", ["assembly", "huffman"])
+    def test_non_utf8_string_exits_2(self, tmp_path, capsys, method):
+        # a non-UTF-8 argument reaches sys.argv with lone surrogates
+        out = tmp_path / "t.dot"
+        assert main(["tree", "--string", "AB\udcffA", "--method", method, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
     def test_over_guard_suggests_split(self, tmp_path, capsys):
         out = str(tmp_path / "t.dot")
@@ -336,6 +346,10 @@ class TestSmallCommands:
 
     def test_champernowne_bad_base_exits_2(self):
         assert main(["champernowne", "--n", "5", "--base", "1"]) == 2
+
+    def test_champernowne_over_cap_exits_2(self, capsys):
+        assert main(["champernowne", "--n", str(CHAMPERNOWNE_CAP + 1)]) == 2
+        assert capsys.readouterr().err == f"error: n outside [0, {CHAMPERNOWNE_CAP}]\n"
 
     def test_ctm_gen_complement_rows(self, tmp_path):
         out = str(tmp_path / "ctm.csv")
@@ -523,6 +537,8 @@ class TestBdmFlags:
         missing=st.sampled_from(["error", "entropy"]),
     )
     @example(block=2, overlap=1, shape="2x2", threshold=3.0, boundary="ignore", missing="error")
+    # argparse in CPython 3.10-3.12 gives --block-shape=-- an empty list, not a string
+    @example(block=2, overlap=0, shape="--", threshold=None, boundary="ignore", missing="error")
     def test_exits_0_or_2(self, tmp_path, block, overlap, shape, threshold, boundary, missing):
         """Every value of the BDM flags exits 0 with both rows, or 2, and
         never raises anything but argparse's exit."""
@@ -544,6 +560,90 @@ class TestBdmFlags:
         assert code in (0, 2)
         if code == 0:
             assert [r["measure"] for r in _read_csv(out)] == ["bdm1d", "bdm2d"]
+
+
+# a valid value of every value-taking option a command needs; None marks a flag
+VALID_OPTIONS = {
+    "measure": {"--input": "data.csv", "--out": "res.csv", "--measures": "entropy,bdm1d,bdm2d",
+                "--toy-ctm": None, "--threshold": "3"},
+    "correlate": {"--input": "res.csv", "--x": "e", "--y": "f"},
+    "classify": {"--input": "res.csv"},
+    "tree": {"--string": "ABRACADABRA", "--out": "t.dot"},
+    "ctm-gen": {"--out": "ctm.csv"},
+    "binarize": {"--input": "m.csv", "--threshold": "3", "--out": "b.csv"},
+    "champernowne": {"--n": "5"},
+    "synthetic": {"--size": "4", "--out": "syn.csv"},
+}
+
+
+def _value_options():
+    """``(command, option)`` for every option of every subcommand that takes a value."""
+    (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action.option_strings[0])
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.option_strings and action.nargs != 0
+    ]
+
+
+def _double_dash_value_is_empty():
+    """Whether this argparse stores ``--opt=--`` as an empty list, as
+    CPython 3.10-3.12 do; 3.13 stores the string ``--``."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--opt")
+    return parser.parse_args(["--opt=--"]).opt == []
+
+
+class TestDoubleDashValue:
+    @pytest.mark.parametrize("command, option", _value_options())
+    def test_exits_2_naming_the_option(self, tmp_path, monkeypatch, capsys, command, option):
+        """``--opt=--``, the rest of argv valid: where argparse stores an
+        empty list for it, main exits 2 with one line naming the option.
+        Nothing but SystemExit may leave main on any version."""
+        monkeypatch.chdir(tmp_path)  # on 3.13 --out=-- writes a file named "--"
+        (tmp_path / "m.csv").write_text("1,4\n3,2\n")
+        _write_dataset(tmp_path, ["a,x,string,ABAB,", "b,x,matrix,m.csv,"])
+        (tmp_path / "res.csv").write_text(
+            "id,category,measure,value,metadata\n"
+            + "".join(f"{i},{'xy'[i % 2]},{m},{v},\n" for i in range(6) for m, v in (("e", i), ("f", i * i)))
+        )
+        argv = [command] + [o if v is None else f"{o}={v}" for o, v in VALID_OPTIONS[command].items() if o != option]
+        try:
+            code = main(argv + [f"{option}=--"])
+        except SystemExit as exc:
+            code = exc.code
+        if _double_dash_value_is_empty():
+            err = capsys.readouterr().err.splitlines()
+            assert code == 2 and len(err) == 1 and option in err[0]
+
+
+class TestExtremeResults:
+    """A results file may hold any finite value; squares of 1e200 overflow
+    unless the statistics scale their samples first."""
+
+    @pytest.fixture()
+    def results(self, tmp_path):
+        path = tmp_path / "res.csv"
+        path.write_text(
+            "id,category,measure,value,metadata\n"
+            "m1,a,e,0,\nm2,a,e,0,\nm3,b,e,1e200,\nm4,b,e,5,\n"
+            "m1,a,f,1,\nm2,a,f,3,\nm3,b,f,2,\nm4,b,f,4,\n",
+            encoding="utf-8",
+        )
+        return str(path)
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    def test_correlate_exits_0(self, results, capsys, method):
+        assert main(["correlate", "--input", results, "--x", "e", "--y", "f", "--method", method]) == 0
+        assert capsys.readouterr().out.startswith(f"{method} e vs f: n=4 statistic=")
+
+    @pytest.mark.parametrize("test", ["welch_t", "ks"])
+    def test_classify_exits_0(self, results, capsys, test):
+        assert main(["classify", "--input", results, "--test", test]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [r["measure"] for r in rows] == ["e", "f"]
+        assert all(r["statistic"] and not r["note"].startswith("skipped") for r in rows)
 
 
 class TestMalformedResults:

@@ -8,6 +8,7 @@ from seqcomplexity.assembly import assembly_index_exact
 from seqcomplexity.bdm import toy_table_1d
 from seqcomplexity.coding import shannon_entropy
 from seqcomplexity.deceiver import (
+    CHAMPERNOWNE_CAP,
     GeneratorSpec,
     champernowne,
     divergence_report,
@@ -34,6 +35,13 @@ class TestChampernowne:
             champernowne(10, 1)
         with pytest.raises(ValueError, match="base"):
             champernowne(10, 37)
+
+    def test_length_over_cap_rejected_before_building(self):
+        # a prefix past the cap would be built in memory in full
+        with pytest.raises(ValueError, match=f"n outside \\[0, {CHAMPERNOWNE_CAP}\\]"):
+            champernowne(CHAMPERNOWNE_CAP + 1)
+        with pytest.raises(ValueError, match="n outside"):
+            generate(GeneratorSpec(kind="champernowne", base=2, length=CHAMPERNOWNE_CAP + 1))
 
     @given(st.integers(0, 300), st.integers(0, 300), st.integers(2, 16))
     @settings(max_examples=50, deadline=None)

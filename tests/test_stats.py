@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seqcomplexity.stats import (
     _midranks,
@@ -70,16 +71,15 @@ class TestPearson:
 
     @given(SERIES, SERIES)
     @settings(max_examples=40, deadline=None)
+    # the product of the two sums of squares underflows unless they are scaled
+    @example([0.0, 0.0, 1.3002332469320458e-126], [0.0, 0.0, 1.3002332469320458e-126])
     def test_symmetry_and_range(self, xs, ys):
         n = min(len(xs), len(ys))
         xs, ys = xs[:n], ys[:n]
         if n < 3 or min(xs) == max(xs) or min(ys) == max(ys):
             return
-        try:
-            a = pearson(xs, ys)
-            b = pearson(ys, xs)
-        except ValueError:
-            return  # variance underflowed to zero at working precision
+        a = pearson(xs, ys)
+        b = pearson(ys, xs)
         assert a.statistic == pytest.approx(b.statistic, abs=1e-12)
         assert -1.0 <= a.statistic <= 1.0
         assert 0.0 <= a.p_one_tail <= 1.0
@@ -93,6 +93,28 @@ class TestPearson:
         flipped = pearson([-2 * x + 1 for x in xs], ys).statistic
         assert scaled == pytest.approx(base, abs=1e-12)
         assert flipped == pytest.approx(-base, abs=1e-12)
+
+
+class TestPowerOfTwoScaling:
+    """Samples are scaled by an exact power of two before their moments
+    are taken, so a power of two changes no bit, and the squares of
+    extreme finite values do not overflow."""
+
+    XS, YS = [1.1, 2.3, 4.0, 8.7, 3.5], [2.0, 1.3, 6.1, 3.0, 2.5]
+    A, B = [1.0, 2.2, 5.1], [2.0, 4.7, 4.5, 3.3]
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_reports_unchanged(self, k):
+        def times(sample):
+            return [math.ldexp(v, k) for v in sample]
+
+        assert dataclasses.asdict(pearson(times(self.XS), self.YS)) == dataclasses.asdict(pearson(self.XS, self.YS))
+        assert dataclasses.asdict(welch_t(times(self.A), times(self.B))) == dataclasses.asdict(welch_t(self.A, self.B))
+
+    def test_squares_beyond_float_range(self):
+        assert pearson([0, 0, 1e200], [1, 3, 2]).statistic == 0.0
+        rep = welch_t([0, 0, 1e200], [1, 2, 3])
+        assert rep.statistic == pytest.approx(1.0) and rep.df == pytest.approx(2.0)
 
 
 class TestSpearman:
