@@ -19,7 +19,7 @@ The same flow is scriptable from the shell:
 
 from collections import defaultdict
 
-from seqcomplexity import huffman, ks_two_sample, rle_encode, shannon_entropy, spearman
+from seqcomplexity import huffman, ks_two_sample, rle_length, shannon_entropy, spearman
 from seqcomplexity.assembly import assembly_index_split
 from seqcomplexity.cli import synthetic_corpus
 
@@ -33,7 +33,7 @@ for rid, cat, payload in rows:
     measured = {
         "entropy": shannon_entropy(payload),
         "huffman": huffman(payload).total_bits,
-        "rle": rle_encode(payload)[1],
+        "rle": rle_length(payload),
         "ma_split": assembly_index_split(payload)[0],
     }
     for name, v in measured.items():

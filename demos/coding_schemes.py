@@ -7,7 +7,7 @@ same inputs.  Huffman's total code length always lands inside the
 entropy sandwich |s|*H <= bits < |s|*(H+1).
 """
 
-from seqcomplexity import huffman, huffman_tree_dot, lzw_encode, rle_encode, shannon_entropy
+from seqcomplexity import huffman, huffman_tree_dot, lzw_encode, rle_length, shannon_entropy
 
 SAMPLES = [
     "ABRACADABRA",
@@ -20,9 +20,8 @@ print(f"{'string':>18s} {'H(bits/sym)':>12s} {'huffman':>8s} {'rle':>5s} {'lzw':
 for s in SAMPLES:
     h = shannon_entropy(s)
     hf = huffman(s)
-    _, rle_len = rle_encode(s)
     lz = lzw_encode(s)
-    print(f"{s:>18s} {h:12.4f} {hf.total_bits:8d} {rle_len:5d} {lz.bit_length:5d}")
+    print(f"{s:>18s} {h:12.4f} {hf.total_bits:8d} {rle_length(s):5d} {lz.bit_length:5d}")
     assert len(s) * h <= hf.total_bits < len(s) * (h + 1)
 
 # the ABRACADABRA Huffman tree: one 1-bit code for A, the rest longer

@@ -28,6 +28,7 @@ from .coding import (
     huffman_tree_dot,
     lzw_encode,
     rle_encode,
+    rle_length,
     shannon_entropy,
 )
 from .deceiver import (
@@ -71,6 +72,7 @@ __all__ = [
     "huffman_tree_dot",
     "lzw_encode",
     "rle_encode",
+    "rle_length",
     "shannon_entropy",
     "DivergenceReport",
     "GeneratorSpec",

@@ -22,11 +22,13 @@ __all__ = [
     "shannon_entropy",
     "huffman",
     "rle_encode",
+    "rle_length",
     "lzw_encode",
     "huffman_tree_dot",
 ]
 
 _REPEATED_RUN = re.compile(r"(.)\1+", re.S)
+_RUN_OF_TEN_OR_MORE = re.compile(rb"\x00{9,}")
 
 
 @dataclass
@@ -148,6 +150,35 @@ def rle_encode(s: str) -> tuple[str, int]:
         parts += ("1".join(s[i:]), "1")
     encoded = "".join(parts)
     return encoded, len(encoded)
+
+
+def rle_length(s: str) -> int:
+    """``rle_encode(s)[1]``, counted from the runs without spelling them out.
+
+    A run of length L encodes as its symbol and len(str(L)) digits, so the
+    length is 2·R plus len(str(L)) − 1 over the runs, where R, the number
+    of runs, is n minus the number of i with s[i] = s[i+1].  A run of
+    length L ≥ 10 is a stretch of L − 1 ≥ 9 equal adjacent pairs.  The
+    pairs are found by XOR-ing the code points (Latin-1 bytes, or else
+    UTF-32 units) with those one place on, as two big integers.
+    """
+    if not s:
+        return 0
+    try:
+        b, w = s.encode("latin-1"), 1
+    except UnicodeEncodeError:
+        b, w = s.encode("utf-32-be", "surrogatepass"), 4
+    x = int.from_bytes(b[w:], "big") ^ int.from_bytes(b[:-w], "big")
+    if w == 4:
+        # OR each 4-byte unit into its last byte, which is then 0 only
+        # where the unit is, that is, at an equal pair
+        x |= x >> 16
+        x |= x >> 8
+    flags = x.to_bytes((len(s) - 1) * w, "big")[w - 1 :: w]
+    runs = len(s) - flags.count(0)
+    return 2 * runs + sum(
+        len(str(m.end() - m.start() + 1)) - 1 for m in _RUN_OF_TEN_OR_MORE.finditer(flags)
+    )
 
 
 def lzw_encode(s: str) -> LzwResult:

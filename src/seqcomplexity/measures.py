@@ -48,7 +48,7 @@ def _bdm2d(m, table, p):
 MEASURES: dict[str, Measure] = {
     "entropy": Measure(lambda s, *_: (coding.shannon_entropy(s), "bits_per_symbol")),
     "huffman": Measure(_huffman),
-    "rle": Measure(lambda s, *_: (coding.rle_encode(s)[1], "encoded_chars")),
+    "rle": Measure(lambda s, *_: (coding.rle_length(s), "encoded_chars")),
     "lzw": Measure(_lzw),
     "ma_exact": Measure(lambda s, *_: (assembly.assembly_index_exact(s)[0], "exact")),
     "ma_split": Measure(lambda s, *_: (assembly.assembly_index_split(s)[0], "upper_bound")),

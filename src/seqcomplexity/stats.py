@@ -187,20 +187,30 @@ def welch_t(a, b) -> StatReport:
         raise ValueError("need at least 2 observations per sample")
     _check_finite(a, b)
     na, nb = len(a), len(b)
-    a, b = _scaled(a, b)
-    ma = math.fsum(a) / na
-    mb = math.fsum(b) / nb
-    va = math.fsum((x - ma) ** 2 for x in a) / (na - 1)
-    vb = math.fsum((x - mb) ** 2 for x in b) / (nb - 1)
-    if va == 0.0 and vb == 0.0:
-        if ma == mb:
+    if min(a) == max(a) and min(b) == max(b):
+        # tested before any mean is rounded: the mean of three 0.1s is not 0.1
+        if a[0] == b[0]:
             return StatReport(
                 statistic=0.0, p_one_tail=0.5, p_two_tail=1.0, df=None,
                 method="welch_t", notes="both samples constant and equal",
             )
         raise ValueError("zero variance in both samples with unequal means")
+    a, b = _scaled(a, b)
+    ma = math.fsum(a) / na
+    mb = math.fsum(b) / nb
+    # deviations this small could leave a variance, or its square in the df
+    # quotient, below the normal range; the power of two that puts the
+    # largest in [0.5, 1) lifts them, and larger ones keep every bit
+    dev = max(abs(x - m) for xs, m in ((a, ma), (b, mb)) for x in xs)
+    shift = -math.frexp(dev)[1] if dev < 2.0**-200 else 0
+    va = math.fsum(math.ldexp(x - ma, shift) ** 2 for x in a) / (na - 1)
+    vb = math.fsum(math.ldexp(x - mb, shift) ** 2 for x in b) / (nb - 1)
     se2 = va / na + vb / nb
-    t = (ma - mb) / math.sqrt(se2)
+    try:
+        t = math.ldexp((ma - mb) / math.sqrt(se2), shift)
+    except (OverflowError, ZeroDivisionError):
+        # |t| beyond the float range, or no spread left after ``_scaled``
+        raise ValueError("the spread underflows against the largest magnitude") from None
     df = se2 * se2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     one, two = _tails(t, df)
     return StatReport(statistic=t, p_one_tail=one, p_two_tail=two, df=df, method="welch_t")

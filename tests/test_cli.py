@@ -646,6 +646,17 @@ class TestExtremeResults:
         assert all(r["statistic"] and not r["note"].startswith("skipped") for r in rows)
 
 
+    def test_classify_welch_t_tiny_spread(self, tmp_path, capsys):
+        path = tmp_path / "res.csv"
+        path.write_text(
+            "id,category,measure,value,metadata\nm1,a,e,1,\nm2,a,e,1,\nm3,b,e,0,\nm4,b,e,2e-155,\n",
+            encoding="utf-8",
+        )
+        assert main(["classify", "--input", str(path), "--test", "welch_t"]) == 0
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert float(row["statistic"]) == pytest.approx(1e155) and float(row["df"]) == 1.0
+
+
 class TestMalformedResults:
     @pytest.fixture()
     def results(self, tmp_path):

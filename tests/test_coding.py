@@ -11,8 +11,10 @@ from seqcomplexity.coding import (
     huffman_tree_dot,
     lzw_encode,
     rle_encode,
+    rle_length,
     shannon_entropy,
 )
+from seqcomplexity.deceiver import champernowne
 
 import oracles
 
@@ -183,6 +185,48 @@ class TestRle:
         # a symbol followed by its count can read as one longer count, so
         # strings over digits are checked against an encoder, not a decoder
         assert rle_encode("0" + "1" * 11)[0] == rle_encode("0" * 11 + "1")[0] == "01111"
+
+
+class TestRleLength:
+    # Latin-1, BMP and astral symbols, two of them sharing the low byte of
+    # "a", and both halves of a surrogate pair as lone symbols
+    SYMBOLS = "a\x00\xff\u0161\u4e2d\U0001f600\U00010061\ud800\udc00"
+    RUN_LENGTHS = (1, 2, 3, 9, 10, 11, 99, 100, 101, 999, 1000, 1001)
+
+    @given(st.lists(st.tuples(st.sampled_from(SYMBOLS), st.sampled_from(RUN_LENGTHS)), max_size=12))
+    def test_equals_encoded_length_over_runs(self, runs):
+        s = "".join(sym * k for sym, k in runs)
+        assert rle_length(s) == rle_encode(s)[1] == len(oracles.rle_runs_encode(s))
+
+    @given(st.text(st.characters(exclude_categories=()), max_size=60))
+    def test_equals_encoded_length_over_any_code_points(self, s):
+        assert rle_length(s) == rle_encode(s)[1] == len(oracles.rle_runs_encode(s))
+
+    @pytest.mark.parametrize(
+        "s, want",
+        [("", 0), ("a", 2), ("\U0001f600", 2), ("aa", 2), ("ab", 4), ("\u4e2d\u4e2d", 2), ("a\u0161", 4)],
+    )
+    def test_up_to_two_symbols(self, s, want):
+        assert rle_length(s) == rle_encode(s)[1] == want
+
+    @staticmethod
+    def _peak(f, s):
+        tracemalloc.start()
+        try:
+            f(s)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_latin1(self):
+        # rle_encode's output alone takes about 2 bytes per character here
+        s = champernowne(10**6)
+        assert self._peak(rle_length, s) <= 8 * len(s)
+
+    def test_peak_memory_wide_within_twice_the_encoder(self):
+        # one symbol beyond Latin-1 takes the 4-byte path for the whole string
+        s = champernowne(10**6 - 1) + "\u0100"
+        assert self._peak(rle_length, s) <= 2 * self._peak(rle_encode, s)
 
 
 class TestLzw:

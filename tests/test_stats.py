@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -194,6 +195,55 @@ class TestWelch:
     def test_both_constant_unequal(self):
         with pytest.raises(ValueError, match="zero variance"):
             welch_t([3, 3], [4, 4])
+
+    @staticmethod
+    def _exact(a, b):
+        """t squared and df in exact rational arithmetic on the given floats."""
+        def term(xs):
+            xs = [Fraction(x) for x in xs]
+            m = sum(xs) / len(xs)
+            return m, sum((x - m) ** 2 for x in xs) / (len(xs) - 1) / len(xs), len(xs)
+
+        (ma, qa, na), (mb, qb, nb) = term(a), term(b)
+        se2 = qa + qb
+        return (ma - mb) ** 2 / se2, se2**2 / (qa**2 / (na - 1) + qb**2 / (nb - 1))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([1.0, 2.2, 5.1], [2.0, 4.7, 4.5, 3.3]),
+            # squared deviations of 1e-155 fall below the normal range, and
+            # their squares in the df quotient below the subnormal one
+            ([1, 1], [0, 2e-155]),
+            ([1, 1], [0, 1e-170]),
+            ([1e-170, 3e-170, 1], [1, 1, 2e-171]),
+        ],
+    )
+    def test_against_exact_arithmetic(self, a, b):
+        rep = welch_t(a, b)
+        t2, df = self._exact(a, b)
+        assert math.copysign(1.0, rep.statistic) == math.copysign(1.0, sum(a) / len(a) - sum(b) / len(b))
+        assert float(Fraction(rep.statistic) ** 2 / t2) == pytest.approx(1.0, rel=1e-12)
+        assert float(Fraction(rep.df) / df) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            [0, 5e-324],  # halving 5e-324 to scale the samples leaves no spread
+            [0, 1e-310],  # |t| near 1e310
+            [0, 2.0**-1023],  # the scaled mean difference fits, |t| does not
+        ],
+    )
+    def test_spread_below_float_range_named(self, b):
+        with pytest.raises(ValueError, match="spread underflows against the largest magnitude"):
+            welch_t([1, 1], b)
+
+    def test_constant_samples_whose_means_round(self):
+        # fsum([0.1] * 3) / 3 != 0.1, so the rounded means show a spread
+        # that the samples do not have
+        with pytest.raises(ValueError, match="zero variance"):
+            welch_t([0.1] * 3, [0.7] * 3)
+        assert welch_t([0.1] * 3, [0.1] * 5).notes == "both samples constant and equal"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
