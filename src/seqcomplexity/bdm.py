@@ -216,13 +216,14 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     # sequence, and ``_aggregate`` sums the same terms in the same order.
     # A string of "0"s and "1"s cut into non-overlapping blocks whose size
     # divides 8 has runs of exactly 8 bits, which are the bytes of
-    # int(s, 2); a Counter over those bytes meets the runs in the same order
-    # as over the columns.  Every other input zips the columns.  The bytes
-    # of s are checked first, since int() also reads "_", spaces and a sign.
+    # int(s, 2); counting those bytes in Counter's order
+    # (``coding._symbol_counts``) meets the runs in the same order as over
+    # the columns.  Every other input zips the columns.  The bytes of s are
+    # checked first, since int() also reads "_", spaces and a sign.
     if not params.overlap and 8 % stride == 0 and s.isascii() and not s.encode().translate(None, b"01"):
         k = 8 // stride
         m = n // k
-        runs = Counter(int(s[: 8 * m] or "0", 2).to_bytes(m, "big"))
+        runs = coding._symbol_counts(int(s[: 8 * m] or "0", 2).to_bytes(m, "big"))
         runs = {format(v, "08b"): c for v, c in runs.items()}
     else:
         k = max(1, 8 // (stride * max(1, (len(table.alphabet) - 1).bit_length())))

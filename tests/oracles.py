@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -151,6 +152,12 @@ def ecdf_sup_distance(a, b):
         fb = sum(1 for v in sb if v <= x) / len(sb)
         best = max(best, abs(fa - fb))
     return best
+
+
+def counter_items(s):
+    """Each symbol of ``s`` with its count, in first-occurrence order, as
+    ``collections.Counter`` tallies them one element at a time."""
+    return list(Counter(s).items())
 
 
 def shannon_entropy_direct(s):

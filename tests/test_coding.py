@@ -2,11 +2,15 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from seqcomplexity import coding
 from seqcomplexity.coding import (
+    LzwResult,
+    _symbol_counts,
     huffman,
     huffman_tree_dot,
     lzw_encode,
@@ -268,6 +272,90 @@ class TestLzw:
         res = lzw_encode(s)
         width = math.ceil(math.log2(res.dict_size_final)) if res.dict_size_final > 1 else 0
         assert res.bit_length == len(res.codes) * width
+
+
+# any code point: astral symbols, and lone surrogates, which the default
+# alphabet leaves out
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=80)
+
+
+@st.composite
+def uniform_over_many_symbols(draw, kind=str):
+    """Each of 40 or more distinct symbols the same number of times, in a
+    drawn order: every pass deletes about 1/σ of what is left, so the scan
+    budget runs out with symbols still uncounted."""
+    if kind is bytes:
+        symbols = [bytes((b,)) for b in draw(st.lists(st.integers(0, 255), min_size=40, max_size=256, unique=True))]
+    else:
+        symbols = draw(st.lists(st.characters(exclude_categories=()), min_size=40, max_size=120, unique=True))
+    seq = symbols * draw(st.integers(1, 4))
+    return kind().join(draw(st.permutations(seq)))
+
+
+class TestSymbolCounts:
+    @given(ANY_TEXT)
+    @example("")
+    @example("\ud800a\udc00\U0001f600\ud800\U0001f600")
+    def test_equals_counter_on_str(self, s):
+        assert list(_symbol_counts(s).items()) == oracles.counter_items(s)
+
+    @given(st.binary(max_size=80))
+    @example(b"")
+    @example(bytes(range(256)) * 2)
+    def test_equals_counter_on_bytes_keyed_by_int(self, b):
+        assert list(_symbol_counts(b).items()) == oracles.counter_items(b)
+
+    @given(st.one_of(uniform_over_many_symbols(), uniform_over_many_symbols(bytes)))
+    def test_budget_spent_then_counter_counts_the_rest(self, s):
+        with mock.patch.object(coding, "Counter", wraps=Counter) as counter:
+            got = list(_symbol_counts(s).items())
+        # the passes stopped short: Counter was handed the symbols left
+        (call,) = counter.call_args_list
+        assert 0 < len(call.args[0]) < len(s)
+        assert got == oracles.counter_items(s)
+
+    def test_small_alphabet_never_reaches_counter(self):
+        s = "ab" * 500 + "c"
+        with mock.patch.object(coding, "Counter", wraps=Counter) as counter:
+            assert _symbol_counts(s) == {"a": 500, "b": 500, "c": 1}
+        counter.assert_not_called()
+
+    @pytest.mark.parametrize("s", [(1, 2, 2), ["ab", "cd", "ab"], ["a", "b", "a", "b"], bytearray(b"abca")])
+    def test_other_sequences_go_to_counter(self, s):
+        assert list(_symbol_counts(s).items()) == oracles.counter_items(s)
+
+
+class TestCountingOrderKeepsValues:
+    """Entropy, Huffman and LZW read the counts in first-occurrence order;
+    the values must be those that ``Counter`` gives."""
+
+    @given(st.one_of(TEXT, ANY_TEXT.filter(bool), uniform_over_many_symbols()))
+    def test_entropy_is_the_first_occurrence_order_sum(self, s):
+        # the oracle tallies in a plain dict, so its terms come in Counter's order
+        assert shannon_entropy(s) == oracles.shannon_entropy_direct(s)
+
+    @given(st.one_of(TEXT, ANY_TEXT.filter(bool), uniform_over_many_symbols()))
+    def test_huffman_and_lzw_equal_their_counter_versions(self, s):
+        res, lzw = huffman(s), lzw_encode(s)
+        assert list(res.code_lengths) == list(Counter(s))
+        with mock.patch.object(coding, "_symbol_counts", Counter):
+            assert huffman(s) == res
+            assert lzw_encode(s) == lzw
+
+    def test_lzw_first_dictionary_in_first_occurrence_order(self):
+        # c, a, b number 0, 1, 2, so "cab" emits them in that order
+        assert lzw_encode("cab").codes == (0, 1, 2)
+        assert lzw_encode("bca").codes == (0, 1, 2)
+
+    def test_tuple_entropy(self):
+        assert shannon_entropy((1, 2, 2)) == 0.9182958340544896
+
+    def test_list_of_strings_huffman(self):
+        res = huffman(["ab", "cd", "ab"])
+        assert (res.code_lengths, res.total_bits, res.tree_levels) == ({"ab": 1, "cd": 1}, 3, 1)
+
+    def test_list_of_strings_lzw(self):
+        assert lzw_encode(["a", "b", "a", "b"]) == LzwResult(codes=(0, 1, 2), dict_size_final=4, bit_length=6)
 
 
 class TestHuffmanDot:
