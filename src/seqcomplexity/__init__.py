@@ -8,6 +8,7 @@ from .assembly import (
     assembly_index_exact,
     assembly_index_split,
     assembly_tree_dot,
+    split_upper_bound,
     verify_pathway,
 )
 from .bdm import (
@@ -56,6 +57,7 @@ __all__ = [
     "assembly_index_exact",
     "assembly_index_split",
     "assembly_tree_dot",
+    "split_upper_bound",
     "verify_pathway",
     "BdmParams",
     "CtmTable",

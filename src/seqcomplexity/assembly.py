@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heapreplace
-from itertools import count, filterfalse
+from itertools import accumulate, count, filterfalse
+from operator import ne
 
 from ._util import dot_escape
 
@@ -20,6 +21,7 @@ __all__ = [
     "AssemblyPathway",
     "assembly_index_exact",
     "assembly_index_split",
+    "split_upper_bound",
     "verify_pathway",
     "assembly_tree_dot",
     "DEFAULT_EXACT_GUARD",
@@ -252,50 +254,122 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     return depth, _fold_pathway(s, defs)
 
 
+# characters of each suffix compared by the first sort of _suffix_array
+_SORT_PREFIX = 256
+
+
+def _suffix_array(t):
+    """``sa, rank``: the starts of ``t``'s suffixes in string order, and
+    each start's place in ``sa``.
+
+    The first sort compares each suffix's first ``_SORT_PREFIX`` (K)
+    characters, as one C-level sort over slices that hold K·n characters
+    while it runs; a text of at most K characters is sorted there.  Where
+    keys tie, equal keys get equal ranks and the next sort compares
+    ``(rank[i], rank[i + k])``, twice the characters, until no two tie.
+    """
+    n, k = len(t), _SORT_PREFIX
+    keys = [t[i : i + k] for i in range(n)]
+    sa = sorted(range(n), key=keys.__getitem__)
+    while k < n:  # suffixes longer than k may tie
+        ordered = list(map(keys.__getitem__, sa))
+        rank = [0] * n
+        for p, r in zip(sa, accumulate(map(ne, ordered[1:], ordered), initial=0)):
+            rank[p] = r
+        if rank[sa[-1]] == n - 1:
+            break
+        keys = list(zip(rank, rank[k:] + [-1] * k))
+        k *= 2
+        sa = sorted(range(n), key=keys.__getitem__)
+    rank = [0] * n
+    for r, p in enumerate(sa):
+        rank[p] = r
+    return sa, rank
+
+
 def _repeat_spans(t, sep):
     """``lo, hi, L``: ``p`` is the first start of a window of ``t`` that
     holds no ``sep`` and occurs twice without overlap (last start at least
     the length past the first) for the lengths ``lo[p]`` to ``hi[p]`` (a
     range: a window's prefixes repeat wherever it does, and its extensions
-    occur no earlier), and no repeat is longer than ``L``.  Each pass
-    splits the occurrences of every repeat by the next character.
+    occur no earlier), and no repeat is longer than ``L``.  ``t`` ends
+    with ``sep``.
+
+    The windows come from the suffix array (``_suffix_array``), the
+    heights of neighbouring suffixes in it and one bottom-up pass over its
+    intervals of suffixes that share a prefix (Abouelhoda, Kurtz and
+    Ohlebusch, JDA 2004).  A height is the length of the common prefix up
+    to the first ``sep``, from Kasai's loop (Kasai et al., CPM 2001); the
+    loop cannot run past the end, because ``t`` ends with ``sep``.
+
+    The occurrences of a ``sep``-free window are contiguous in string
+    order, so a window of length ``l`` has exactly the occurrences of the
+    interval whose depth (least inner height) is at least ``l`` and whose
+    parent's depth is below ``l``.  An interval of depth ``d`` with parent
+    depth ``d'``, first start ``a`` and last start ``b`` therefore gives
+    ``a`` the lengths ``max(2, d' + 1)`` to ``min(d, b - a)``, and the
+    range argument above carries over as it stands.  The intervals whose
+    first start is ``a`` all hold the suffix at ``a``, so they nest and
+    are popped deepest first: the first to give ``a`` lengths sets
+    ``hi[a]``, and the last sets ``lo[a]``.  Heights below 2 count as 0,
+    which moves no length of 2 or more and spares the root most leaves.
+
+    Time is O(n log n) for each sort, of which there are at most
+    1 + log2(n / ``_SORT_PREFIX``), and O(n) for the rest; memory is
+    O(n) besides the first sort's keys.
     """
-    by_pair = {}
-    for p in range(len(t) - 1):
-        pair = t[p : p + 2]
-        if pair in by_pair:
-            by_pair[pair].append(p)
+    n = len(t)
+    sa, rank = _suffix_array(t)
+    height = [0] * n  # height[r]: of sa[r] and sa[r + 1], 0 if below 2
+    h = 0
+    for i, r in enumerate(rank):
+        if r + 1 < n:
+            j = sa[r + 1]
+            while t[i + h] == t[j + h] != sep:
+                h += 1
+            if h > 1:
+                height[r] = h
+            if h:
+                h -= 1
         else:
-            by_pair[pair] = [p]
-    groups = [g for pair, g in by_pair.items() if g[-1] - g[0] >= 2 and sep not in pair]
-    lo, hi, length = {}, {}, 2
-    while groups:
-        refined = []
-        for group in groups:
-            lo.setdefault(group[0], length)
-            hi[group[0]] = length
-            by_next = {}
-            for p in group:
-                c = t[p + length]
-                if c in by_next:
-                    by_next[c].append(p)
-                else:
-                    by_next[c] = [p]
-            for c, g in by_next.items():
-                if g[-1] - g[0] > length and c != sep:
-                    refined.append(g)
-        groups = refined
-        length += 1
-    return lo, hi, length - 1
+            h = 0
+    lo, hi = {}, {}
+    top = [0, 0, 0]  # [depth, first start, last start]; the root's starts go unused
+    stack = [top]
+    for h, prev, p in zip(height, sa, sa[1:] + [0]):
+        a = b = prev  # starts of the left child of an interval pushed here: prev, or the last popped
+        d = top[0]
+        while h < d:
+            _, a, b = stack.pop()
+            top = stack[-1]
+            up = top[0] if top[0] > h else h  # the popped interval's parent depth
+            first, last = up + 1 if up else 2, b - a if b - a < d else d
+            if first <= last:
+                lo[a] = first
+                hi.setdefault(a, last)
+            d = top[0]
+            if h <= d and d:  # the parent is on the stack, else it is pushed below
+                if a < top[1]:
+                    top[1] = a
+                if b > top[2]:
+                    top[2] = b
+        if h > d:
+            top = [h, a if a < p else p, b if b > p else p]
+            stack.append(top)
+        elif h:
+            if p < top[1]:
+                top[1] = p
+            elif p > top[2]:
+                top[2] = p
+    return lo, hi, max(hi.values(), default=1)
 
 
-def assembly_index_split(s: str):
-    """Polynomial-time upper bound on the assembly index, with witness.
-
-    Repeatedly factors out the longest window of two or more tokens that
-    occurs twice without overlap in the target and the factored objects
-    (the earliest by first occurrence, replaced greedily left to right),
-    then counts one join per remaining concatenation.
+def _factor_repeats(s):
+    """The factoring behind ``assembly_index_split``: ``seqs, spelled,
+    keys, sep``.  ``seqs`` is the target, then each factored object's
+    definition, as tokens: a basis symbol, or the key of a factored
+    object.  ``keys[i]`` is the key of the object that ``seqs[i + 1]``
+    defines and ``spelled.split(sep)[i + 1]`` spells out.
 
     All sequences live in one string ``t``, each followed by ``sep``.  A
     basis symbol is itself; a factored object is a fresh character, padded
@@ -323,8 +397,6 @@ def assembly_index_split(s: str):
     longer, so holds it only by being it, which needs it to repeat first.
     A round that tests more than ``len(t)`` windows regroups ``t``, which
     bounds the cost of dropping many lengths.
-
-    Returns ``(upper_bound, AssemblyPathway)``.
     """
     if not s:
         raise ValueError("empty input")
@@ -360,11 +432,32 @@ def assembly_index_split(s: str):
         t = t.replace(best, keys[-1] + pad * (length - 1)) + best + sep
         spelled += best + sep
 
-    seqs = t.replace(pad, "").split(sep)[:-1]  # the target, then each definition
-    upper = sum(len(q) - 1 for q in seqs)
+    return t.replace(pad, "").split(sep)[:-1], spelled, keys, sep
+
+
+def split_upper_bound(s: str) -> int:
+    """The split heuristic's upper bound on the assembly index of ``s``,
+    ``assembly_index_split(s)[0]``, without building the witness: one join
+    per remaining concatenation of the target and each factored object."""
+    return sum(len(q) - 1 for q in _factor_repeats(s)[0])
+
+
+def assembly_index_split(s: str):
+    """Polynomial-time upper bound on the assembly index, with witness.
+
+    Repeatedly factors out the longest window of two or more tokens that
+    occurs twice without overlap in the target and the factored objects
+    (the earliest by first occurrence, replaced greedily left to right),
+    then counts one join per remaining concatenation.
+
+    Returns ``(upper_bound, AssemblyPathway)``; ``split_upper_bound``
+    returns the same bound alone.
+    """
+    seqs, spelled, keys, sep = _factor_repeats(s)
     # objects shortest first (a definition uses only shorter ones), the target last
     order = sorted(zip(spelled.split(sep)[1:-1], keys, seqs[1:]), key=lambda d: (len(d[0]), d[0]))
-    return upper, _fold_pathway(s, [(key, q) for _, key, q in order] + [(sep, seqs[0])])
+    pathway = _fold_pathway(s, [(key, q) for _, key, q in order] + [(sep, seqs[0])])
+    return pathway.index, pathway
 
 
 def assembly_tree_dot(p: AssemblyPathway) -> str:

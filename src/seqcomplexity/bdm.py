@@ -296,14 +296,18 @@ def ctm_save(table: CtmTable, path) -> None:
 
 def ctm_load(path) -> CtmTable:
     """Load a CTM table CSV written by :func:`ctm_save` (or hand-made)."""
-    header, rows = _csv_rows(path, _CTM_HEADERS[1])
+    header, rows, name = _csv_rows(path, _CTM_HEADERS[1])
     dimension = 2 if len(header) == 4 else 1
     if header != _CTM_HEADERS[dimension]:
         raise ValueError(f"unrecognized header {','.join(header)!r}")
     entries = {}
-    for where, cells in rows:
-        block, bits = cells[-2], _finite(cells[-1], where, "ctm_bits")
-        key = block
+    for lineno, cells in rows:
+        where = name(lineno, cells)
+        try:
+            bits = _finite(cells[-1], "ctm_bits")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        key = block = cells[-2]
         if dimension == 2:
             try:
                 key = (int(cells[0]), int(cells[1]), block)

@@ -219,10 +219,12 @@ def lzw_encode(s: str) -> LzwResult:
     numbered in the order of their first occurrence.
 
     Greedy longest match; each emission appends the matched string plus
-    the next symbol to the dictionary.
+    the next symbol to the dictionary.  ``bytes`` are read as Latin-1, one
+    symbol per byte.
     """
     if not s:
         raise ValueError("empty input")
+    s = s.decode("latin-1") if isinstance(s, bytes) else s
     table: dict[str, int] = {ch: i for i, ch in enumerate(_symbol_counts(s))}
     codes = []
     w = s[0]

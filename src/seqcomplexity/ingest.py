@@ -45,41 +45,46 @@ class DatasetRecord:
 
 
 def _csv_rows(path, columns):
-    """The header and the ``(where, cells)`` rows of the UTF-8 CSV file at ``path``.
+    """The header, the ``(line number, cells)`` rows and the row namer of
+    the UTF-8 CSV file at ``path``.
 
     The first non-blank line is the header, and it must name every column in
     ``columns``; with no ``columns`` the file has no header.  Blank lines are
     skipped, and a row whose field count differs from the header's raises
-    ValueError.  ``where`` names a row by its ``id`` cell when the header has
-    an ``id`` column, otherwise by its line number.
+    ValueError.  ``name(lineno, cells)`` names a row in a message by its
+    ``id`` cell when the header has an ``id`` column, otherwise by its line
+    number; callers name only a row they reject.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        lines = ((reader.line_num, cells) for cells in reader if len(cells) > 1 or cells and cells[0].strip())
-        header = []
-        if columns:
-            lineno, header = next(lines, (1, []))
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise ValueError(f"line {lineno}: header lacks {', '.join(missing)}")
-        key = header.index("id") if "id" in header else None
-        rows = []
-        for lineno, cells in lines:
-            where = f"row {cells[key]!r}" if key is not None and key < len(cells) else f"line {lineno}"
-            if header and len(cells) != len(header):
-                raise ValueError(f"{where}: field count differs from the header")
-            rows.append((where, cells))
-    return header, rows
+        rows = [(reader.line_num, cells) for cells in reader if len(cells) > 1 or cells and cells[0].strip()]
+    header = []
+    if columns:
+        lineno, header = rows.pop(0) if rows else (1, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValueError(f"line {lineno}: header lacks {', '.join(missing)}")
+    key = header.index("id") if "id" in header else None
+
+    def name(lineno, cells):
+        return f"row {cells[key]!r}" if key is not None and key < len(cells) else f"line {lineno}"
+
+    if header:
+        for lineno, cells in rows:
+            if len(cells) != len(header):
+                raise ValueError(f"{name(lineno, cells)}: field count differs from the header")
+    return header, rows, name
 
 
-def _finite(cell, where, what) -> float:
-    """``cell`` as a finite float; otherwise a ValueError naming ``where`` and ``what``."""
+def _finite(cell, what) -> float:
+    """``cell`` as a finite float; otherwise a ValueError naming ``what``,
+    to which the caller adds where the cell is."""
     try:
         x = float(cell)
     except ValueError:
-        raise ValueError(f"{where}: non-numeric {what} {cell!r}") from None
+        raise ValueError(f"non-numeric {what} {cell!r}") from None
     if not math.isfinite(x):
-        raise ValueError(f"{where}: non-finite {what} {cell!r}")
+        raise ValueError(f"non-finite {what} {cell!r}")
     return x
 
 
@@ -137,7 +142,10 @@ def sdf_distance_matrix(sdf_text: str) -> list[list[float]]:
         fields = lines[4 + k].split()
         if len(fields) < 3:
             raise ValueError(f"line {lineno}: expected x y z coordinates")
-        coords.append([_finite(v, f"line {lineno}", "coordinate") for v in fields[:3]])
+        try:
+            coords.append([_finite(v, "coordinate") for v in fields[:3]])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return [
         [math.sqrt((ax - bx) * (ax - bx) + (ay - by) * (ay - by) + (az - bz) * (az - bz)) for bx, by, bz in coords]
         for ax, ay, az in coords
@@ -146,8 +154,14 @@ def sdf_distance_matrix(sdf_text: str) -> list[list[float]]:
 
 def load_matrix_csv(path) -> list[list[float]]:
     """Read a headerless comma-separated matrix of finite reals as a list of rows."""
-    _, rows = _csv_rows(path, ())
-    return _rectangular([[_finite(v, where, "entry") for v in cells] for where, cells in rows])
+    _, rows, name = _csv_rows(path, ())
+    matrix = []
+    for lineno, cells in rows:
+        try:
+            matrix.append([_finite(v, "entry") for v in cells])
+        except ValueError as exc:
+            raise ValueError(f"{name(lineno, cells)}: {exc}") from None
+    return _rectangular(matrix)
 
 
 def save_matrix_csv(m, path) -> None:
@@ -166,10 +180,11 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
     payload kinds are rejected by name.
     """
     base = os.path.dirname(os.path.abspath(csv_path))
-    header, rows = _csv_rows(csv_path, DATASET_HEADER)
+    header, rows, name = _csv_rows(csv_path, DATASET_HEADER)
     records = []
     seen = set()
-    for where, cells in rows:
+    for lineno, cells in rows:
+        where = name(lineno, cells)
         row = dict(zip(header, cells))
         rid = row["id"]
         if rid in seen:
@@ -187,13 +202,17 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
             except (OSError, ValueError) as exc:  # UnicodeDecodeError included
                 raise ValueError(f"{where}: matrix {mpath}: {exc}") from None
         ref = row["reference_value"]
+        try:
+            ref = _finite(ref, "reference_value") if ref else None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         records.append(
             DatasetRecord(
                 id=rid,
                 category=row["category"],
                 payload_kind=kind,
                 payload=payload,
-                reference_value=_finite(ref, where, "reference_value") if ref else None,
+                reference_value=ref,
             )
         )
     return records
@@ -204,16 +223,19 @@ def load_results(csv_path):
     ``(id, measure)`` in file order, each row a dict keyed by the header with
     ``value`` parsed to a finite float (None if empty); a repeated
     ``(id, measure)`` row raises ValueError."""
-    header, rows = _csv_rows(csv_path, RESULTS_HEADER)
+    header, rows, name = _csv_rows(csv_path, RESULTS_HEADER)
+    ids, measures, values = map(header.index, ("id", "measure", "value"))
     table = {}
-    for where, cells in rows:
-        row = dict(zip(header, cells))
-        key = (row["id"], row["measure"])
+    for lineno, cells in rows:
+        key = cells[ids], cells[measures]
         if key in table:
-            raise ValueError(f"{where}: measure {row['measure']!r} repeated")
-        cell = row["value"]
-        row["value"] = _finite(cell, where, "value") if cell else None
-        table[key] = row
+            raise ValueError(f"{name(lineno, cells)}: measure {key[1]!r} repeated")
+        row = table[key] = dict(zip(header, cells))
+        cell = cells[values]
+        try:
+            row["value"] = _finite(cell, "value") if cell else None
+        except ValueError as exc:
+            raise ValueError(f"{name(lineno, cells)}: {exc}") from None
     return header, table
 
 

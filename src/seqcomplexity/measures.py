@@ -51,7 +51,7 @@ MEASURES: dict[str, Measure] = {
     "rle": Measure(lambda s, *_: (coding.rle_length(s), "encoded_chars")),
     "lzw": Measure(_lzw),
     "ma_exact": Measure(lambda s, *_: (assembly.assembly_index_exact(s)[0], "exact")),
-    "ma_split": Measure(lambda s, *_: (assembly.assembly_index_split(s)[0], "upper_bound")),
+    "ma_split": Measure(lambda s, *_: (assembly.split_upper_bound(s), "upper_bound")),
     "bdm1d": Measure(_bdm1d, ctm_dim=1),
     "bdm2d": Measure(_bdm2d, ctm_dim=2),
 }

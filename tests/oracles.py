@@ -197,6 +197,36 @@ def longest_nonoverlapping_repeat(seqs):
     return None, 0
 
 
+def repeat_spans_reference(t, sep):
+    """``lo, hi, L`` as ``assembly._repeat_spans`` gives them, by refining
+    groups of occurrences one character at a time: the starts of each
+    ``sep``-free pair that recurs at least 2 further on, then, length by
+    length, each group split by the character that follows, keeping the
+    parts whose last start is more than the length past their first.  A
+    group's first start ``p`` is first of a repeat at that length, so
+    ``lo[p]`` and ``hi[p]`` are the least and greatest such length, and
+    ``L`` is the last length with a group (1 if none).  Time is
+    O(n · L).
+    """
+    by_pair = {}
+    for p in range(len(t) - 1):
+        by_pair.setdefault(t[p : p + 2], []).append(p)
+    groups = [g for pair, g in by_pair.items() if g[-1] - g[0] >= 2 and sep not in pair]
+    lo, hi, length = {}, {}, 2
+    while groups:
+        refined = []
+        for group in groups:
+            lo.setdefault(group[0], length)
+            hi[group[0]] = length
+            by_next = {}
+            for p in group:
+                by_next.setdefault(t[p + length], []).append(p)
+            refined += [g for c, g in by_next.items() if g[-1] - g[0] > length and c != sep]
+        groups = refined
+        length += 1
+    return lo, hi, length - 1
+
+
 def split_reference(s):
     """The split heuristic spelled out: while some window of >= 2 tokens
     repeats without overlap (``longest_nonoverlapping_repeat``), it becomes

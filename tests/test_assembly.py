@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +13,7 @@ from seqcomplexity.assembly import (
     assembly_index_exact,
     assembly_index_split,
     assembly_tree_dot,
+    split_upper_bound,
     verify_pathway,
 )
 
@@ -33,6 +35,15 @@ def _modular(max_steps, max_len):
         extension_symbols=st.lists(st.sampled_from("ABCD"), max_size=4).map(tuple),
     )
     return spec.map(lambda g: deceiver.generate(g)[:max_len])
+
+
+def _periodic(alphabet):
+    """A unit of up to 40 symbols repeated to 300-3,000 characters."""
+    return st.builds(
+        lambda unit, n: (unit * n)[:n],
+        st.text(alphabet=alphabet, min_size=1, max_size=40),
+        st.integers(300, 3000),
+    )
 
 
 def _split_steps(s):
@@ -243,6 +254,20 @@ class TestSplit:
         payloads = [payload for _, _, payload in cli.synthetic_corpus(seed, 100)]
         assert _witness_digest(assembly_index_split, payloads) == digest
 
+    @pytest.mark.parametrize("seed", [7, 2024])
+    def test_upper_bound_alone_on_synthetic_corpus(self, seed):
+        payloads = [payload for _, _, payload in cli.synthetic_corpus(seed, 100)]
+        assert [split_upper_bound(s) for s in payloads] == [assembly_index_split(s)[0] for s in payloads]
+
+    @given(st.one_of(st.text(alphabet="ABCD", min_size=1, max_size=200), _modular(20, 200)))
+    @settings(max_examples=60, deadline=None)
+    def test_upper_bound_alone(self, s):
+        assert split_upper_bound(s) == assembly_index_split(s)[0]
+
+    def test_upper_bound_alone_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty input"):
+            split_upper_bound("")
+
     @given(
         st.one_of(
             st.text(alphabet="ABCD", min_size=1, max_size=300),
@@ -336,6 +361,42 @@ class TestRepeatSpans:
         lo, hi, longest = assembly._repeat_spans(t, sep)
         assert lo.keys() == hi.keys()
         assert [sorted(p for p in hi if lo[p] <= length <= hi[p]) for length in range(2, longest + 1)] == expected
+
+    @given(
+        st.one_of(
+            # periodic texts, whose suffixes tie past the first sort's 256 characters
+            _periodic("abc"),
+            st.builds(deceiver.champernowne, st.integers(300, 3000), st.integers(2, 16)),
+            _modular(120, 3000).filter(lambda s: len(s) >= 300),
+            # several separators, some in runs, as regrouping a factored text gives
+            _periodic("ab|"),
+        )
+    )
+    @example("a" * 1000)
+    @example("abc||" * 300)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_refinement_reference(self, s):
+        t = s + "|"
+        assert assembly._repeat_spans(t, "|") == oracles.repeat_spans_reference(t, "|")
+
+    def test_one_symbol_closed_form(self):
+        # a^n repeats at every length up to n/2 from start 0; refining one
+        # character at a time takes about n^2/4 steps here, hours at 10^5
+        t = "a" * 10**5 + "|"
+        assert assembly._repeat_spans(t, "|") == ({0: 2}, {0: 50000}, 50000)
+
+    def test_peak_memory_linear_in_length(self):
+        t = "abcdefghij" * 2000 + "|"
+        tracemalloc.start()
+        try:
+            longest = assembly._repeat_spans(t, "|")[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert longest == 10000
+        # the first sort's keys take about 305 bytes a character (256
+        # characters and a string header), everything else about 170
+        assert peak < 600 * len(t)
 
 
 class TestVerifyPathway:

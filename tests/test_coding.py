@@ -357,6 +357,14 @@ class TestCountingOrderKeepsValues:
     def test_list_of_strings_lzw(self):
         assert lzw_encode(["a", "b", "a", "b"]) == LzwResult(codes=(0, 1, 2), dict_size_final=4, bit_length=6)
 
+    def test_bytes_lzw_one_symbol_per_byte(self):
+        # adding the byte values 0x61 + 0x62 would give 0xc3, read as a match of "ab"
+        assert lzw_encode(b"ab\xc3").codes == (0, 1, 2)
+
+    @given(st.binary(min_size=1, max_size=80))
+    def test_bytes_lzw_equals_latin1_text(self, b):
+        assert lzw_encode(b) == lzw_encode(b.decode("latin-1"))
+
 
 class TestHuffmanDot:
     def test_abracadabra_node_counts(self):
