@@ -19,9 +19,9 @@ The same flow is scriptable from the shell:
 
 from collections import defaultdict
 
-from seqcomplexity import huffman, ks_two_sample, rle_length, shannon_entropy, spearman
-from seqcomplexity.assembly import assembly_index_split
+from seqcomplexity import ks_two_sample, spearman
 from seqcomplexity.cli import synthetic_corpus
+from seqcomplexity.measures import evaluate
 
 rows = synthetic_corpus(seed=42, size=200)
 print(f"corpus: {len(rows)} strings, lengths {min(len(p) for *_, p in rows)}"
@@ -30,13 +30,8 @@ print(f"corpus: {len(rows)} strings, lengths {min(len(p) for *_, p in rows)}"
 values = defaultdict(list)
 by_cat = defaultdict(lambda: defaultdict(list))
 for rid, cat, payload in rows:
-    measured = {
-        "entropy": shannon_entropy(payload),
-        "huffman": huffman(payload).total_bits,
-        "rle": rle_length(payload),
-        "ma_split": assembly_index_split(payload)[0],
-    }
-    for name, v in measured.items():
+    for name in ("entropy", "huffman", "rle", "ma_split"):
+        v = evaluate(name, payload, {}, None)[0]
         values[name].append(v)
         by_cat[name][cat].append(v)
 

@@ -25,12 +25,12 @@ from .ingest import (
     load_matrix_csv,
     load_results,
     save_matrix_csv,
-    text_to_bits,
+    text_to_bits,  # kept importable here: bench/tracing.py wraps it by name
     write_csv,
     write_results,
 )
 from ._util import fmt12
-from .measures import MEASURES
+from .measures import MEASURES, evaluate
 
 __all__ = ["main", "entrypoint", "ALPHABET16"]
 
@@ -75,35 +75,6 @@ def _binary_matrix(record, threshold):
     return [[int(v) for v in row] for row in m]
 
 
-def compute_measure(record, x, measure, tables, params):
-    """``(value, metadata)`` of one record under ``MEASURES[measure]``.
-
-    ``x`` is the record's string payload or its binary matrix; ``tables``
-    maps a dimension to its CTM table.  Inapplicable combinations yield an
-    empty value.
-    """
-    entry = MEASURES[measure]
-    if entry.ctm_dim == 2:
-        if record.payload_kind != "matrix":
-            return None, "not applicable: string payload"
-        suffix = ""
-    else:
-        if record.payload_kind == "matrix":
-            x, source = "".join(str(v) for row in x for v in row), "matrix_flat"
-        elif entry.ctm_dim == 1:
-            x, source = text_to_bits(x), "utf8_bits"
-        else:
-            source = "string"
-        suffix = f";input={source}"
-    try:
-        value, note = entry.compute(x, tables.get(entry.ctm_dim), params)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"record {record.id!r}, measure {measure!r}: {exc.args[0] if exc.args else exc}") from None
-    if entry.ctm_dim and params.missing_block_policy != "error":
-        suffix += f";missing={params.missing_block_policy}"
-    return value, note + suffix
-
-
 def _bdm_params(args) -> "bdm_mod.BdmParams":
     try:
         r, c = args.block_shape.lower().split("x")
@@ -143,7 +114,11 @@ def cmd_measure(args) -> int:
     rows = []
     for record in records:
         x = record.payload if record.payload_kind == "string" else _binary_matrix(record, args.threshold)
-        rows += [(record.id, record.category, m, *compute_measure(record, x, m, tables, params)) for m in measures]
+        for m in measures:
+            try:
+                rows.append((record.id, record.category, m, *evaluate(m, x, tables, params)))
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"record {record.id!r}, measure {m!r}: {exc.args[0] if exc.args else exc}") from None
     write_results(rows, args.out)
     return 0
 

@@ -20,7 +20,7 @@ from . import coding as _coding
 # assembly_index_split is kept importable here: bench/tracing.py wraps it by name
 from .assembly import assembly_index_split
 from .ingest import text_to_bits
-from .measures import MEASURES
+from .measures import MEASURES, evaluate
 
 __all__ = [
     "GeneratorSpec",
@@ -39,12 +39,17 @@ _BDM_PARAMS = _bdm.BdmParams()
 CHAMPERNOWNE_CAP = 10**8  # longest prefix champernowne builds, all of it in memory
 
 
-def champernowne(n: int, base: int = 10) -> str:
-    """First ``n`` characters of the digits of 1, 2, 3, ... written in ``base``."""
+def _check_champernowne(n, base):
+    """Reject what :func:`champernowne` cannot build, a spec's ``length`` being its ``n``."""
     if not 2 <= base <= 36:
         raise ValueError("base out of range [2, 36]")
     if not 0 <= n <= CHAMPERNOWNE_CAP:
         raise ValueError(f"n outside [0, {CHAMPERNOWNE_CAP}]")
+
+
+def champernowne(n: int, base: int = 10) -> str:
+    """First ``n`` characters of the digits of 1, 2, 3, ... written in ``base``."""
+    _check_champernowne(n, base)
     # the d-digit numbers in increasing order are the d-tuples of digits
     # with a nonzero lead, in lexicographic order
     digits = _DIGITS[:base]
@@ -108,10 +113,7 @@ class GeneratorSpec:
         if not isinstance(ext, tuple) or not all(isinstance(c, str) and len(c) == 1 for c in ext):
             raise ValueError(f"extension_symbols must be a tuple of single characters, not {ext!r}")
         if self.kind == "champernowne":
-            if not 2 <= self.base <= 36:
-                raise ValueError("base out of range [2, 36]")
-            if self.length < 0:
-                raise ValueError("length must be non-negative")
+            _check_champernowne(self.length, self.base)
         else:
             if not self.seed:
                 raise ValueError("empty seed")
@@ -192,11 +194,10 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
     """Measure ``s`` and juxtapose the generator description length.
 
     ``measures`` may name any string measure of
-    :data:`seqcomplexity.measures.MEASURES`; ``ma_exact`` is guarded at
-    25 characters.  ``s`` must be exactly the output
-    of ``spec``.  ``bdm1d`` (when requested with a table) is computed over
-    the UTF-8 bit expansion of ``s`` with 2-symbol blocks, so any table
-    alphabet works.
+    :data:`seqcomplexity.measures.MEASURES`, read as ``evaluate`` reads it;
+    ``ma_exact`` is guarded at 25 characters.  ``s`` must be exactly the
+    output of ``spec``.  ``bdm1d`` reads the UTF-8 bits of ``s`` in 2-symbol
+    blocks, so it needs a 1D ``ctm_table`` whose alphabet holds 0 and 1.
     """
     if generate(spec) != s:
         raise ValueError("payload does not match spec")
@@ -207,9 +208,7 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
             raise ValueError(f"unknown measure {name!r}")
         if entry.ctm_dim and ctm_table is None:
             raise ValueError(f"{name} requested without a CTM table")
-        x = text_to_bits(s) if entry.ctm_dim == 1 else s
-        value, _ = entry.compute(x, ctm_table, _BDM_PARAMS)
-        values[name] = float(value)
+        values[name] = float(evaluate(name, s, {1: ctm_table}, _BDM_PARAMS)[0])
     distinct = len(set(s))
     h = values["entropy"] if "entropy" in values else _coding.shannon_entropy(s)
     norm = h / math.log2(distinct) if distinct > 1 else 0.0

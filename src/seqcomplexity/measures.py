@@ -1,5 +1,6 @@
-"""The measure registry: the one place a measure is defined.  The CLI and
-``deceiver.divergence_report`` both dispatch through :data:`MEASURES`."""
+"""The measure registry: the one place a measure is defined, and
+:func:`evaluate`, the one place that decides what a measure reads.  The
+CLI and ``deceiver.divergence_report`` both call :func:`evaluate`."""
 
 from __future__ import annotations
 
@@ -7,20 +8,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import assembly, bdm, coding
+from .ingest import text_to_bits
 
-__all__ = ["Measure", "MEASURES"]
+__all__ = ["Measure", "MEASURES", "evaluate"]
 
 
 @dataclass(frozen=True)
 class Measure:
-    """``compute(x, table, params)`` returns ``(value, note)``.
-
-    ``ctm_dim`` decides the input ``x``.  None: the payload string.  1: its
-    binary spelling (the UTF-8 bits of a string, the flattened binarized
-    matrix), with a 1D CTM table ``table``.  2: the binarized matrix, with
-    a 2D table, and only for matrix payloads.  ``params`` are the
-    ``BdmParams`` of a CTM entry.
-    """
+    """``compute(x, table, params)`` gives ``(value, note)``; :func:`evaluate` picks ``x`` by ``ctm_dim``."""
 
     compute: Callable
     ctm_dim: int | None = None
@@ -55,3 +50,33 @@ MEASURES: dict[str, Measure] = {
     "bdm1d": Measure(_bdm1d, ctm_dim=1),
     "bdm2d": Measure(_bdm2d, ctm_dim=2),
 }
+
+
+def evaluate(name, payload, tables, params):
+    """``(value, note)`` of ``payload`` under ``MEASURES[name]``.
+
+    ``payload`` is a string or a binary matrix (rows of 0/1 ints); the
+    entry's ``ctm_dim`` decides what it reads, and the note ends by naming
+    it.  None: the string (``;input=string``) or the matrix flattened row
+    major (``;input=matrix_flat``).  1: the string's UTF-8 bits
+    (``;input=utf8_bits``) or the flattened matrix, with the CTM table
+    ``tables[1]``.  2: the matrix, with ``tables[2]``; a string gives
+    ``(None, "not applicable: string payload")``.  A CTM entry reads the
+    ``BdmParams`` ``params`` too, and its note then ends in
+    ``;missing=<policy>`` unless the policy is ``error``.
+    """
+    entry = MEASURES[name]
+    if entry.ctm_dim == 2:
+        if isinstance(payload, str):
+            return None, "not applicable: string payload"
+        x, suffix = payload, ""
+    elif not isinstance(payload, str):
+        x, suffix = "".join(str(v) for row in payload for v in row), ";input=matrix_flat"
+    elif entry.ctm_dim == 1:
+        x, suffix = text_to_bits(payload), ";input=utf8_bits"
+    else:
+        x, suffix = payload, ";input=string"
+    value, note = entry.compute(x, tables.get(entry.ctm_dim), params)
+    if entry.ctm_dim and params.missing_block_policy != "error":
+        suffix += f";missing={params.missing_block_policy}"
+    return value, note + suffix

@@ -452,6 +452,29 @@ class TestVerifyPathway:
         assert verify_pathway(p, "A")
         assert not verify_pathway(p, "B")
 
+    @pytest.mark.parametrize("pathway", [
+        AssemblyPathway(basis=frozenset(), steps=(JoinStep("A", "A", "AA"),), target="AA"),
+        AssemblyPathway(basis=frozenset({"A", "AA"}), steps=(JoinStep("A", "A", "AA"),), target="AA"),
+        # steps[1.0] is not an index, and True would read as step 1
+        AssemblyPathway(frozenset("A"), (JoinStep("A", "A", "AA"), JoinStep(0.0, 0, "AAAA")), "AAAA"),
+        AssemblyPathway(
+            frozenset("A"),
+            (JoinStep("A", "A", "AA"), JoinStep(0, 0, "AAAA"), JoinStep(True, 0, "AAAAAA")),
+            "AAAAAA",
+        ),
+        # malformed parts raise inside the check, which answers False
+        AssemblyPathway(basis=5, steps=(JoinStep("A", "A", "AA"),), target="AA"),
+        AssemblyPathway(basis=frozenset("A"), steps=(None,), target="AA"),
+        None,
+    ], ids=["empty_basis", "multi_char_basis", "float_ref", "bool_ref", "basis_not_iterable", "step_not_a_step", "not_a_pathway"])
+    def test_malformed_pathway_rejected(self, pathway):
+        # checked against its own target, so the malformed part is what fails
+        assert verify_pathway(pathway, getattr(pathway, "target", "AA")) is False
+
+    def test_bool_ref_is_rejected_where_its_int_is_accepted(self):
+        steps = (JoinStep("A", "A", "AA"), JoinStep(0, 0, "AAAA"), JoinStep(1, 0, "AAAAAA"))
+        assert verify_pathway(AssemblyPathway(frozenset("A"), steps, "AAAAAA"), "AAAAAA")
+
 
 class TestDot:
     def test_single_join(self):

@@ -511,3 +511,29 @@ class TestValidation:
         m = [[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]]
         table = toy_table_2d()
         assert bdm_2d(m, table, BdmParams(overlap=1)) == bdm_2d(m, table, BdmParams()) == bdm_2d(m, table)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: CtmTable(dimension=3, entries={"0": 1.0}), "^dimension must be 1 or 2$"),
+        (lambda: CtmTable(dimension=0, entries={"0": 1.0}), "^dimension must be 1 or 2$"),
+        (lambda: CtmTable(dimension=1, entries={"0": 1.0, "": 2.0}), "^empty block$"),
+        (lambda: CtmTable(dimension=2, entries={(0, 0, ""): 2.0}), "^empty block$"),
+        (lambda: BdmParams(missing_block_policy="zero"), "^missing_block_policy must be 'error' or 'entropy_surrogate'$"),
+        (lambda: bdm_1d("01101", toy_table_1d(), BdmParams(pad_symbol="2")), "^pad symbol not in table alphabet$"),
+        (lambda: bdm_1d("0110", toy_table_1d(), BdmParams(pad_symbol="2")), "^pad symbol not in table alphabet$"),
+        (lambda: bdm_2d([[0, 1, 1]] * 3, toy_table_2d(), BdmParams(pad_symbol="x")), "^pad symbol not in table alphabet$"),
+    ], ids=["dimension_3", "dimension_0", "empty_1d_block", "empty_2d_block", "unknown_policy", "pad_used", "pad_unused", "pad_2d"])
+    def test_rejected_with_message(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize("row, message", [
+        ("x,2,0101,4.0", "^line 2: non-integer rows or cols$"),
+        ("2,2.0,0101,4.0", "^line 2: non-integer rows or cols$"),
+        ("2,2,010,4.0", "^line 2: block length does not match rows\\*cols$"),
+        ("1,3,0101,4.0", "^line 2: block length does not match rows\\*cols$"),
+    ])
+    def test_2d_load_rejects_bad_shape(self, tmp_path, row, message):
+        path = tmp_path / "t2.csv"
+        path.write_text(f"rows,cols,block,ctm_bits\n{row}\n")
+        with pytest.raises(ValueError, match=message):
+            ctm_load(path)

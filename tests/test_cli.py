@@ -135,6 +135,16 @@ class TestMeasure:
         assert "--measures is required" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_toy_ctm_with_ctm_table_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "ctm.csv"
+        table.write_text("block,ctm_bits\n01,1.5\n")
+        data = _write_dataset(tmp_path, ["m1,c,string,AB,"])
+        out = tmp_path / "o.csv"
+        argv = ["measure", "--input", data, "--out", str(out), "--measures", "bdm1d", "--toy-ctm", "--ctm-table", str(table)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --toy-ctm and --ctm-table are mutually exclusive\n"
+        assert not out.exists()
+
     def test_non_binary_matrix_under_bdm_exits_2(self, tmp_path, capsys):
         (tmp_path / "m.csv").write_text("0,7\n2,9\n")
         data = _write_dataset(tmp_path, ["s1,c,string,AB,", "m1,c,matrix,m.csv,"])

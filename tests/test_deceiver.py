@@ -193,6 +193,26 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="^extension_symbols must be"):
             GeneratorSpec(kind="modular", seed="AB", period=3, steps=9, extension_symbols=["C"])
 
+    @pytest.mark.parametrize("base, length, message", [
+        (1, 5, "base out of range"),
+        (37, 5, "base out of range"),
+        (10, -1, "n outside"),
+        (10, CHAMPERNOWNE_CAP + 1, "n outside"),
+        (2, 10**12, "n outside"),
+    ])
+    def test_champernowne_spec_that_generate_rejects(self, base, length, message):
+        # a spec is refused when it is made, not when it is generated
+        fields = {"kind": "champernowne", "base": base, "length": length}
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec(**fields)
+        with pytest.raises(ValueError, match=message):
+            GeneratorSpec.from_json(json.dumps(fields))
+
+    def test_champernowne_spec_at_the_cap_accepted(self):
+        spec = GeneratorSpec.from_json(json.dumps({"kind": "champernowne", "base": 10, "length": CHAMPERNOWNE_CAP}))
+        assert spec.length == CHAMPERNOWNE_CAP
+        assert spec.description_bits == len(spec.encode_bits())
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown generator kind"):
             GeneratorSpec(kind="fibonacci")

@@ -41,6 +41,21 @@ def test_only_ingest_opens_files_for_reading():
     assert not readers
 
 
+def test_only_evaluate_spells_a_payload_in_bits():
+    """``measures.evaluate`` alone decides what a measure reads; the generator
+    spec's own encoding is the one other user of ``text_to_bits``."""
+    package = Path(seqcomplexity.__file__).parent
+    callers = {
+        (path.name, fn.name)
+        for path in sorted(package.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "text_to_bits"
+    }
+    assert callers == {("measures.py", "evaluate"), ("deceiver.py", "encode_bits")}
+
+
 def _tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)

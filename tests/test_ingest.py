@@ -110,6 +110,18 @@ class TestSdf:
         with pytest.raises(ValueError, match="line 4"):
             sdf_distance_matrix("m\n\n\nxyz\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "^line 4: missing counts line$"),
+        ("m\n\n\n", "^line 4: missing counts line$"),
+        ("m\n\n\n  0  0  0\n", "^line 4: atom count must be positive$"),
+        ("m\n\n\n -2  0  0\n", "^line 4: atom count must be positive$"),
+        ("m\n\n\n  2  0  0\n 0 0 0 C\n 1 1\n", "^line 6: expected x y z coordinates$"),
+        ("m\n\n\n  1  0  0\n\n", "^line 5: expected x y z coordinates$"),
+    ], ids=["empty", "three_lines", "zero_atoms", "negative_atoms", "two_fields", "blank_atom_line"])
+    def test_rejected_with_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            sdf_distance_matrix(text)
+
     @pytest.mark.parametrize("x, problem", [("a", "non-numeric"), ("nan", "non-finite"), ("1e999", "non-finite")])
     def test_non_numeric_coordinate_line(self, x, problem):
         text = f"m\n\n\n  1  0  0\n 0 {x} 0 C\n"

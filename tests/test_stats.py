@@ -41,6 +41,11 @@ class TestPearson:
         with pytest.raises(ValueError, match="length mismatch"):
             pearson([1, 2, 3], [1, 2])
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_3_pairs_rejected(self, n):
+        with pytest.raises(ValueError, match="^need at least 3 pairs$"):
+            pearson([1.0, 2.0][:n], [2.0, 1.0][:n])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         # min(1.0, nan) is 1.0, so an unchecked NaN would read as r = 1, p = 0
@@ -307,6 +312,16 @@ class TestTDistribution:
         for df in (1.0, 4.0, 30.0):
             values = [student_t_sf(t, df) for t in np.linspace(0.0, 8.0, 30)]
             assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("df", [0.0, -1.0, -math.inf])
+    def test_non_positive_df_rejected(self, df):
+        with pytest.raises(ValueError, match="^df must be positive$"):
+            student_t_sf(1.0, df)
+
+    @pytest.mark.parametrize("df", [1.0, 4.0, 1e6])
+    def test_infinite_t(self, df):
+        assert student_t_sf(math.inf, df) == 0.0
+        assert student_t_sf(-math.inf, df) == 1.0
 
     def test_symmetry(self):
         assert student_t_sf(0.0, 5.0) == pytest.approx(0.5, abs=1e-12)
