@@ -9,7 +9,7 @@ the minimum number of join steps needed to build it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heappop, heapreplace
 from itertools import accumulate, count, filterfalse
 from operator import ne
@@ -35,12 +35,20 @@ class JoinStep:
     """One concatenation: ``result == resolve(left) + resolve(right)``.
 
     A reference is either a basis symbol (the 1-char string itself) or the
-    0-based position of an earlier step in the same pathway.
+    0-based position of an earlier step in the same pathway.  The result is
+    the span ``target[start:stop]`` of the pathway's target, which every
+    step shares, so a pathway holds one copy of the text.
     """
 
     left: str | int
     right: str | int
-    result: str
+    start: int
+    stop: int
+    target: str = field(repr=False)
+
+    @property
+    def result(self) -> str:
+        return self.target[self.start : self.stop]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,11 +74,15 @@ def _resolve(ref, steps):
     return steps[ref].result
 
 
+def _is_index(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def verify_pathway(p: AssemblyPathway, target: str) -> bool:
     """Certificate check: True iff ``p`` is a well-formed pathway for ``target``.
 
-    Malformed references, non-matching concatenations, or a wrong final
-    result all yield False rather than raising.
+    Malformed references or spans, non-matching concatenations, or a wrong
+    final result all yield False rather than raising.
     """
     try:
         if p.target != target or not target:
@@ -84,11 +96,12 @@ def verify_pathway(p: AssemblyPathway, target: str) -> bool:
                 if isinstance(ref, str):
                     if ref not in p.basis:
                         return False
-                elif isinstance(ref, int) and not isinstance(ref, bool):
-                    if not 0 <= ref < i:
-                        return False
-                else:
+                elif not (_is_index(ref) and 0 <= ref < i):
                     return False
+            if step.target != target or not (
+                _is_index(step.start) and _is_index(step.stop) and 0 <= step.start < step.stop <= len(target)
+            ):
+                return False
             if step.result != _resolve(step.left, p.steps) + _resolve(step.right, p.steps):
                 return False
         return p.steps[-1].result == target
@@ -97,22 +110,28 @@ def verify_pathway(p: AssemblyPathway, target: str) -> bool:
 
 
 def _fold_pathway(s, defs):
-    """Pathway for ``s`` from ``(key, tokens)`` definitions in build order.
+    """Pathway for ``s`` from ``(key, text, tokens)`` definitions in build
+    order.
 
     A token is a basis symbol or the key of an earlier definition (no key
-    equals a basis symbol); each definition is joined left to right, and
-    the last one must spell ``s``.  A step refers to a basis symbol by the
-    symbol itself and to a built object by the index of its last step.
+    equals a basis symbol); each definition is joined left to right into
+    its ``text``, a substring of ``s``, and the last one must spell ``s``.
+    A step refers to a basis symbol by the symbol itself and to a built
+    object by the index of its last step.  Each join of a definition spells
+    a prefix of its text, so a step is a span from the text's first start
+    in ``s``.
     """
-    steps, built = [], {}  # key -> (reference, text) of a built object
-    for key, tokens in defs:
-        ref, text = built.get(tokens[0], (tokens[0], tokens[0]))
+    steps, built = [], {}  # key -> (reference, length) of a built object
+    for key, text, tokens in defs:
+        ref, length = built.get(tokens[0], (tokens[0], 1))
+        start = s.find(text)
+        stop = start + length
         for tok in tokens[1:]:
-            right, part = built.get(tok, (tok, tok))
-            text += part
-            steps.append(JoinStep(left=ref, right=right, result=text))
+            right, length = built.get(tok, (tok, 1))
+            stop += length
+            steps.append(JoinStep(ref, right, start, stop, s))
             ref = len(steps) - 1
-        built[key] = ref, text
+        built[key] = ref, len(text)
     return AssemblyPathway(basis=frozenset(s), steps=tuple(steps), target=s)
 
 
@@ -178,7 +197,7 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
         )
     n = len(s)
     if n <= 2:
-        return n - 1, _fold_pathway(s, [(s, tuple(s))] if n == 2 else ())
+        return n - 1, _fold_pathway(s, [(s, s, tuple(s))] if n == 2 else ())
 
     ordered, splits = _substring_universe(s)
     target_id = len(ordered) - 1
@@ -250,7 +269,7 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
     defs = []
     for cid in chosen:
         u, v = next((u, v) for u, v in splits[cid] if available[u] and available[v])
-        defs.append((ordered[cid], (ordered[u], ordered[v])))
+        defs.append((ordered[cid], ordered[cid], (ordered[u], ordered[v])))
     return depth, _fold_pathway(s, defs)
 
 
@@ -455,8 +474,8 @@ def assembly_index_split(s: str):
     """
     seqs, spelled, keys, sep = _factor_repeats(s)
     # objects shortest first (a definition uses only shorter ones), the target last
-    order = sorted(zip(spelled.split(sep)[1:-1], keys, seqs[1:]), key=lambda d: (len(d[0]), d[0]))
-    pathway = _fold_pathway(s, [(key, q) for _, key, q in order] + [(sep, seqs[0])])
+    defs = sorted(zip(keys, spelled.split(sep)[1:-1], seqs[1:]), key=lambda d: (len(d[1]), d[1]))
+    pathway = _fold_pathway(s, defs + [(sep, s, seqs[0])])
     return pathway.index, pathway
 
 

@@ -35,6 +35,7 @@ from .measures import MEASURES, evaluate
 __all__ = ["main", "entrypoint", "ALPHABET16"]
 
 ALPHABET16 = "ABCDEFGHIJKLMNOP"
+SYNTHETIC_CAP = 10**6  # most records synthetic generates, all of them in memory
 
 
 class InputError(Exception):
@@ -274,8 +275,8 @@ def synthetic_corpus(seed: int, size: int):
 
 
 def cmd_synthetic(args) -> int:
-    if args.size < 1:
-        raise ValueError(f"--size must be positive, got {args.size}")
+    if not 1 <= args.size <= SYNTHETIC_CAP:
+        raise ValueError(f"--size must be positive and at most {SYNTHETIC_CAP}, got {args.size}")
     rows = synthetic_corpus(args.seed, args.size)
     write_csv(args.out, [DATASET_HEADER, *([rid, cat, "string", payload, ""] for rid, cat, payload in rows)])
     return 0

@@ -36,7 +36,6 @@ class StatReport:
     df: float | None = None
     ci_low: float | None = None
     ci_high: float | None = None
-    method: str = ""
     notes: str = ""
 
 
@@ -144,7 +143,7 @@ def pearson(xs, ys, ci_level: float = 0.99) -> StatReport:
         one, two = 0.0, 0.0
         return StatReport(
             statistic=r, p_one_tail=one, p_two_tail=two, df=df,
-            method="pearson", notes="degenerate |r|=1; CI unavailable",
+            notes="degenerate |r|=1; CI unavailable",
         )
     t = r * math.sqrt(df / (1.0 - r * r))
     one, two = _tails(t, df)
@@ -157,7 +156,7 @@ def pearson(xs, ys, ci_level: float = 0.99) -> StatReport:
         lo, hi = -1.0, 1.0  # n = 3 carries no Fisher-z information
     return StatReport(
         statistic=r, p_one_tail=one, p_two_tail=two, df=df,
-        ci_low=lo, ci_high=hi, method="pearson", notes=f"fisher z CI, level {ci_level:g}",
+        ci_low=lo, ci_high=hi, notes=f"fisher z CI, level {ci_level:g}",
     )
 
 
@@ -178,7 +177,7 @@ def spearman(xs, ys, ci_level: float = 0.99) -> StatReport:
     """Spearman rho: Pearson correlation of mid-ranks (average-rank ties)."""
     _check_pair(xs, ys)
     rep = pearson(_midranks(xs), _midranks(ys), ci_level)
-    return replace(rep, method="spearman", notes="midranks; " + rep.notes)
+    return replace(rep, notes="midranks; " + rep.notes)
 
 
 def welch_t(a, b) -> StatReport:
@@ -192,7 +191,7 @@ def welch_t(a, b) -> StatReport:
         if a[0] == b[0]:
             return StatReport(
                 statistic=0.0, p_one_tail=0.5, p_two_tail=1.0, df=None,
-                method="welch_t", notes="both samples constant and equal",
+                notes="both samples constant and equal",
             )
         raise ValueError("zero variance in both samples with unequal means")
     a, b = _scaled(a, b)
@@ -213,7 +212,7 @@ def welch_t(a, b) -> StatReport:
         raise ValueError("the spread underflows against the largest magnitude") from None
     df = se2 * se2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
     one, two = _tails(t, df)
-    return StatReport(statistic=t, p_one_tail=one, p_two_tail=two, df=df, method="welch_t")
+    return StatReport(statistic=t, p_one_tail=one, p_two_tail=two, df=df)
 
 
 def _ecdf_distance(a, b) -> float:
@@ -263,6 +262,5 @@ def ks_two_sample(a, b) -> StatReport:
     n_eff = len(a) * len(b) / (len(a) + len(b))
     p = 1.0 if d == 0.0 else kolmogorov_sf(math.sqrt(n_eff) * d)
     return StatReport(
-        statistic=d, p_one_tail=p, p_two_tail=p, df=None,
-        method="ks_two_sample", notes="asymptotic",
+        statistic=d, p_one_tail=p, p_two_tail=p, df=None, notes="asymptotic",
     )

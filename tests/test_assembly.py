@@ -314,6 +314,20 @@ class TestSplit:
         assert _split_steps(s) == oracles.split_reference(s)
         assert len(grouped) > 1
 
+    def test_witness_peak_memory_linear_in_length(self):
+        # every step is a span of the one target, so the witness is O(steps);
+        # with a result string per step the peak was about 1,700 bytes a
+        # character here, and the grouping's own bound is 600
+        s = deceiver.champernowne(10**4)
+        tracemalloc.start()
+        try:
+            pathway = assembly_index_split(s)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verify_pathway(pathway, s)
+        assert peak < 600 * len(s)
+
     @given(
         st.one_of(
             st.builds(deceiver.champernowne, st.integers(1, 2000), st.integers(2, 16)),
@@ -403,47 +417,48 @@ class TestVerifyPathway:
     def test_valid_doubling(self):
         p = AssemblyPathway(
             basis=frozenset("A"),
-            steps=(JoinStep("A", "A", "AA"), JoinStep(0, 0, "AAAA")),
+            steps=(JoinStep("A", "A", 0, 2, "AAAA"), JoinStep(0, 0, 0, 4, "AAAA")),
             target="AAAA",
         )
         assert verify_pathway(p, "AAAA")
 
     def test_wrong_target(self):
         p = AssemblyPathway(
-            basis=frozenset("AB"), steps=(JoinStep("A", "B", "AB"),), target="AB"
+            basis=frozenset("AB"), steps=(JoinStep("A", "B", 0, 2, "AB"),), target="AB"
         )
         assert not verify_pathway(p, "BA")
 
     def test_prefix_chain_with_block_reuse(self):
+        t = "ABRACADABRA"
         steps = (
-            JoinStep("A", "B", "AB"),
-            JoinStep(0, "R", "ABR"),
-            JoinStep(1, "A", "ABRA"),
-            JoinStep(2, "C", "ABRAC"),
-            JoinStep(3, "A", "ABRACA"),
-            JoinStep(4, "D", "ABRACAD"),
-            JoinStep(5, 2, "ABRACADABRA"),
+            JoinStep("A", "B", 0, 2, t),
+            JoinStep(0, "R", 0, 3, t),
+            JoinStep(1, "A", 0, 4, t),
+            JoinStep(2, "C", 0, 5, t),
+            JoinStep(3, "A", 0, 6, t),
+            JoinStep(4, "D", 0, 7, t),
+            JoinStep(5, 2, 0, 11, t),
         )
-        p = AssemblyPathway(basis=frozenset("ABRCD"), steps=steps, target="ABRACADABRA")
-        assert verify_pathway(p, "ABRACADABRA")
+        p = AssemblyPathway(basis=frozenset("ABRCD"), steps=steps, target=t)
+        assert verify_pathway(p, t)
 
     def test_forward_reference_rejected(self):
         p = AssemblyPathway(
             basis=frozenset("A"),
-            steps=(JoinStep(1, "A", "AAA"), JoinStep("A", "A", "AA")),
+            steps=(JoinStep(1, "A", 0, 3, "AAA"), JoinStep("A", "A", 0, 2, "AAA")),
             target="AAA",
         )
         assert not verify_pathway(p, "AAA")
 
     def test_bad_concatenation_rejected(self):
         p = AssemblyPathway(
-            basis=frozenset("AB"), steps=(JoinStep("A", "B", "BA"),), target="BA"
+            basis=frozenset("AB"), steps=(JoinStep("A", "B", 0, 2, "BA"),), target="BA"
         )
         assert not verify_pathway(p, "BA")
 
     def test_unknown_basis_symbol_rejected(self):
         p = AssemblyPathway(
-            basis=frozenset("A"), steps=(JoinStep("A", "B", "AB"),), target="AB"
+            basis=frozenset("A"), steps=(JoinStep("A", "B", 0, 2, "AB"),), target="AB"
         )
         assert not verify_pathway(p, "AB")
 
@@ -453,17 +468,17 @@ class TestVerifyPathway:
         assert not verify_pathway(p, "B")
 
     @pytest.mark.parametrize("pathway", [
-        AssemblyPathway(basis=frozenset(), steps=(JoinStep("A", "A", "AA"),), target="AA"),
-        AssemblyPathway(basis=frozenset({"A", "AA"}), steps=(JoinStep("A", "A", "AA"),), target="AA"),
+        AssemblyPathway(basis=frozenset(), steps=(JoinStep("A", "A", 0, 2, "AA"),), target="AA"),
+        AssemblyPathway(basis=frozenset({"A", "AA"}), steps=(JoinStep("A", "A", 0, 2, "AA"),), target="AA"),
         # steps[1.0] is not an index, and True would read as step 1
-        AssemblyPathway(frozenset("A"), (JoinStep("A", "A", "AA"), JoinStep(0.0, 0, "AAAA")), "AAAA"),
+        AssemblyPathway(frozenset("A"), (JoinStep("A", "A", 0, 2, "AAAA"), JoinStep(0.0, 0, 0, 4, "AAAA")), "AAAA"),
         AssemblyPathway(
             frozenset("A"),
-            (JoinStep("A", "A", "AA"), JoinStep(0, 0, "AAAA"), JoinStep(True, 0, "AAAAAA")),
+            (JoinStep("A", "A", 0, 2, "AAAAAA"), JoinStep(0, 0, 0, 4, "AAAAAA"), JoinStep(True, 0, 0, 6, "AAAAAA")),
             "AAAAAA",
         ),
         # malformed parts raise inside the check, which answers False
-        AssemblyPathway(basis=5, steps=(JoinStep("A", "A", "AA"),), target="AA"),
+        AssemblyPathway(basis=5, steps=(JoinStep("A", "A", 0, 2, "AA"),), target="AA"),
         AssemblyPathway(basis=frozenset("A"), steps=(None,), target="AA"),
         None,
     ], ids=["empty_basis", "multi_char_basis", "float_ref", "bool_ref", "basis_not_iterable", "step_not_a_step", "not_a_pathway"])
@@ -472,8 +487,39 @@ class TestVerifyPathway:
         assert verify_pathway(pathway, getattr(pathway, "target", "AA")) is False
 
     def test_bool_ref_is_rejected_where_its_int_is_accepted(self):
-        steps = (JoinStep("A", "A", "AA"), JoinStep(0, 0, "AAAA"), JoinStep(1, 0, "AAAAAA"))
-        assert verify_pathway(AssemblyPathway(frozenset("A"), steps, "AAAAAA"), "AAAAAA")
+        t = "AAAAAA"
+        steps = (JoinStep("A", "A", 0, 2, t), JoinStep(0, 0, 0, 4, t), JoinStep(1, 0, 0, 6, t))
+        assert verify_pathway(AssemblyPathway(frozenset("A"), steps, t), t)
+
+    # None and False slice like 0, and 2.0 or "0" would raise
+    @pytest.mark.parametrize("start, stop", [(None, 2), (False, 2), (0.0, 2), ("0", 2), (0, 2.0), (0, None)])
+    def test_non_int_span_rejected(self, start, stop):
+        def pathway(start, stop):
+            return AssemblyPathway(frozenset("A"), (JoinStep("A", "A", start, stop, "AA"),), "AA")
+
+        assert verify_pathway(pathway(0, 2), "AA")
+        assert verify_pathway(pathway(start, stop), "AA") is False
+
+    @pytest.mark.parametrize("step", [
+        JoinStep("A", "B", 1, 3, "ABAB"),  # spells BA, inside the target
+        JoinStep("A", "B", 0, 3, "ABAB"),  # spells ABA
+        JoinStep("A", "B", -2, 4, "ABAB"),  # spells AB, but from before the target's start
+        JoinStep("A", "B", 2, 4, "ABABAB"),  # spells AB, but in another text
+    ], ids=["other_text", "too_long", "negative_start", "other_target"])
+    def test_span_that_is_not_the_join_rejected(self, step):
+        valid = (JoinStep("A", "B", 2, 4, "ABAB"), JoinStep(0, 0, 0, 4, "ABAB"))
+        assert verify_pathway(AssemblyPathway(frozenset("AB"), valid, "ABAB"), "ABAB")
+        assert verify_pathway(AssemblyPathway(frozenset("AB"), (step, valid[1]), "ABAB"), "ABAB") is False
+
+    @pytest.mark.parametrize("search", [assembly_index_exact, assembly_index_split])
+    def test_step_result_is_its_span_of_the_shared_target(self, search):
+        s = "ABRACADABRA"
+        pathway = search(s)[1]
+        assert pathway.steps
+        for step in pathway.steps:
+            assert step.target is pathway.target
+            assert step.result == step.target[step.start : step.stop]
+            assert "target" not in repr(step) and s not in repr(step)
 
 
 class TestDot:
@@ -497,7 +543,7 @@ class TestDot:
 
     def test_invalid_pathway_rejected(self):
         p = AssemblyPathway(
-            basis=frozenset("AB"), steps=(JoinStep("A", "B", "BA"),), target="BA"
+            basis=frozenset("AB"), steps=(JoinStep("A", "B", 0, 2, "BA"),), target="BA"
         )
         with pytest.raises(ValueError, match="invalid pathway"):
             assembly_tree_dot(p)

@@ -460,6 +460,14 @@ class TestSynthetic:
         assert "--size must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", [cli.SYNTHETIC_CAP + 1, 10**12])
+    def test_size_over_cap_exits_2_before_generating(self, tmp_path, capsys, monkeypatch, size):
+        out = tmp_path / "c.csv"
+        monkeypatch.setattr(cli, "synthetic_corpus", lambda seed, size: pytest.fail("generated records"))
+        assert main(["synthetic", "--size", str(size), "--out", str(out)]) == 2
+        assert f"at most {cli.SYNTHETIC_CAP}, got {size}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_different_seed_differs(self, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["synthetic", "--seed", "42", "--size", "40", "--out", p1])

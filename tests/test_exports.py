@@ -41,19 +41,29 @@ def test_only_ingest_opens_files_for_reading():
     assert not readers
 
 
-def test_only_evaluate_spells_a_payload_in_bits():
-    """``measures.evaluate`` alone decides what a measure reads; the generator
-    spec's own encoding is the one other user of ``text_to_bits``."""
+def _callers(name):
+    """``(file, function)`` of every function in the package that calls ``name``."""
     package = Path(seqcomplexity.__file__).parent
-    callers = {
+    return {
         (path.name, fn.name)
         for path in sorted(package.glob("*.py"))
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "text_to_bits"
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
     }
-    assert callers == {("measures.py", "evaluate"), ("deceiver.py", "encode_bits")}
+
+
+def test_only_evaluate_spells_a_payload_in_bits():
+    """``measures.evaluate`` alone decides what a measure reads; the generator
+    spec's own encoding is the one other user of ``text_to_bits``."""
+    assert _callers("text_to_bits") == {("measures.py", "evaluate"), ("deceiver.py", "encode_bits")}
+
+
+def test_only_fold_pathway_builds_a_step():
+    """A step's span of the target is worked out in one place, for both
+    assembly searches."""
+    assert _callers("JoinStep") == {("assembly.py", "_fold_pathway")}
 
 
 def _tracing():
