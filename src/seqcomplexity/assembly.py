@@ -25,9 +25,11 @@ __all__ = [
     "verify_pathway",
     "assembly_tree_dot",
     "DEFAULT_EXACT_GUARD",
+    "DOT_LABEL_CAP",
 ]
 
 DEFAULT_EXACT_GUARD = 25
+DOT_LABEL_CAP = 32  # longest step text a DOT label spells out in full
 
 
 @dataclass(frozen=True, slots=True)
@@ -483,7 +485,10 @@ def assembly_tree_dot(p: AssemblyPathway) -> str:
     """Render a pathway as a DOT digraph.
 
     One node per basis symbol used and per step result; each step
-    contributes a left and a right edge into its result node.
+    contributes a left and a right edge into its result node.  A step is
+    labelled by its text, or, when that is longer than ``DOT_LABEL_CAP``,
+    by the first ``DOT_LABEL_CAP`` characters, an ellipsis and its span
+    ``start:stop`` of the target, so the DOT grows linearly with the steps.
     """
     if not verify_pathway(p, p.target):
         raise ValueError("invalid pathway")
@@ -497,7 +502,11 @@ def assembly_tree_dot(p: AssemblyPathway) -> str:
     for b in used_basis:
         lines.append(f'  {basis_node[b]} [label="{dot_escape(b)}" shape=circle];')
     for i, st in enumerate(p.steps):
-        lines.append(f'  s{i} [label="{dot_escape(st.result)}" shape=box];')
+        if st.stop - st.start <= DOT_LABEL_CAP:
+            label = dot_escape(st.result)
+        else:
+            label = f"{dot_escape(st.target[st.start : st.start + DOT_LABEL_CAP])}… {st.start}:{st.stop}"
+        lines.append(f'  s{i} [label="{label}" shape=box];')
     for i, st in enumerate(p.steps):
         for ref, tag in ((st.left, "L"), (st.right, "R")):
             src = basis_node[ref] if isinstance(ref, str) else f"s{ref}"

@@ -10,15 +10,14 @@ over distinct blocks.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
 
 from . import coding
-from ._util import sig12
-from .ingest import _csv_rows, _finite
+from ._util import fmt12, sig12
+from .ingest import _csv_rows, _finite, write_csv
 
 __all__ = [
     "CtmTable",
@@ -287,11 +286,8 @@ def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:
 
 def ctm_save(table: CtmTable, path) -> None:
     """Write a CTM table CSV (``block,ctm_bits`` or ``rows,cols,block,ctm_bits``)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CTM_HEADERS[table.dimension])
-        for key, bits in table.entries.items():
-            writer.writerow([*(key if table.dimension == 2 else (key,)), f"{bits:.12g}"])
+    rows = ([*(key if table.dimension == 2 else (key,)), fmt12(bits)] for key, bits in table.entries.items())
+    write_csv(path, [_CTM_HEADERS[table.dimension], *rows])
 
 
 def ctm_load(path) -> CtmTable:

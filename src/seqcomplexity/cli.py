@@ -28,6 +28,7 @@ from .ingest import (
     text_to_bits,  # kept importable here: bench/tracing.py wraps it by name
     write_csv,
     write_results,
+    write_text,
 )
 from ._util import fmt12
 from .measures import MEASURES, evaluate
@@ -205,8 +206,7 @@ def cmd_tree(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{exc}: pass --split") from None
         dot = assembly_tree_dot(pathway)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dot)
+    write_text(args.out, dot)
     return 0
 
 
@@ -223,7 +223,9 @@ def cmd_binarize(args) -> int:
 
 
 def cmd_champernowne(args) -> int:
-    print(deceiver.champernowne(args.n, args.base))
+    # piece by piece, so the prefix is never whole in memory
+    sys.stdout.writelines(deceiver.champernowne_chunks(args.n, args.base))
+    print()
     return 0
 
 

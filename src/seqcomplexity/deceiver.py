@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, islice, product
+from itertools import islice, product
 
 from . import bdm as _bdm
 from . import coding as _coding
@@ -25,6 +25,7 @@ from .measures import MEASURES, evaluate
 __all__ = [
     "GeneratorSpec",
     "champernowne",
+    "champernowne_chunks",
     "modular_generate",
     "generate",
     "divergence_report",
@@ -36,7 +37,8 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 DEFAULT_MEASURES = ("entropy", "huffman", "rle", "lzw", "ma_split")
 _BDM_PARAMS = _bdm.BdmParams()
-CHAMPERNOWNE_CAP = 10**8  # longest prefix champernowne builds, all of it in memory
+CHAMPERNOWNE_CAP = 10**8  # longest prefix spelled; champernowne() holds all of it in memory
+CHAMPERNOWNE_CHUNK = 2**16  # most numbers one piece of champernowne_chunks spells
 
 
 def _check_champernowne(n, base):
@@ -49,20 +51,30 @@ def _check_champernowne(n, base):
 
 def champernowne(n: int, base: int = 10) -> str:
     """First ``n`` characters of the digits of 1, 2, 3, ... written in ``base``."""
+    return "".join(champernowne_chunks(n, base))
+
+
+def champernowne_chunks(n: int, base: int = 10):
+    """The characters of :func:`champernowne` in order, as pieces of the
+    digits of at most ``CHAMPERNOWNE_CHUNK`` numbers each.
+
+    The arguments are checked when this is called, before the first piece.
+    """
     _check_champernowne(n, base)
+    return _chunks(n, _DIGITS[:base])
+
+
+def _chunks(n, digits):
     # the d-digit numbers in increasing order are the d-tuples of digits
     # with a nonzero lead, in lexicographic order
-    digits = _DIGITS[:base]
-    parts = []
-    total = 0
     d = 1
-    while total < n:
+    while n > 0:
         numbers = product(digits[1:], *[digits] * (d - 1))
-        part = "".join(chain.from_iterable(islice(numbers, -(-(n - total) // d))))
-        parts.append(part)
-        total += len(part)
+        # an empty piece means the d-digit numbers ran out
+        while n > 0 and (piece := "".join(map("".join, islice(numbers, min(CHAMPERNOWNE_CHUNK, -(-n // d)))))):
+            yield piece[:n]
+            n -= len(piece)
         d += 1
-    return "".join(parts)[:n]
 
 
 def _gamma_bits(n: int) -> str:

@@ -1,7 +1,6 @@
-"""File input and preprocessing: the one CSV reader behind every input
-file (datasets, results, matrices and CTM tables), the CSV writer, text
-binarization, matrix thresholding, and minimal V2000 molfile parsing.
-"""
+"""File input and output: the one CSV reader and the two writers behind
+every file the package reads or writes, text binarization, matrix
+thresholding, and minimal V2000 molfile parsing."""
 
 from __future__ import annotations
 
@@ -21,6 +20,7 @@ __all__ = [
     "load_results",
     "write_results",
     "write_csv",
+    "write_text",
     "load_matrix_csv",
     "save_matrix_csv",
 ]
@@ -89,9 +89,15 @@ def _finite(cell, what) -> float:
 
 
 def write_csv(path, rows) -> None:
-    """Write ``rows`` to ``path`` in the csv module's default dialect."""
+    """Write ``rows`` to ``path`` as UTF-8 in the csv module's default dialect."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
+
+
+def write_text(path, text) -> None:
+    """Write ``text`` to ``path`` as UTF-8, with no newline translation."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def text_to_bits(s: str) -> str:
@@ -165,11 +171,8 @@ def load_matrix_csv(path) -> list[list[float]]:
 
 
 def save_matrix_csv(m, path) -> None:
-    rows = _rectangular([list(row) for row in m])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in rows:
-            fh.write(",".join(fmt12(float(v)) if not float(v).is_integer() else str(int(v)) for v in row))
-            fh.write("\n")
+    """Write ``m`` as a headerless matrix CSV, integral entries as integers."""
+    write_csv(path, _rectangular([[str(int(v)) if float(v).is_integer() else fmt12(float(v)) for v in row] for row in m]))
 
 
 def load_dataset(csv_path) -> list[DatasetRecord]:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from seqcomplexity import assembly, cli, deceiver
 from seqcomplexity.assembly import (
+    DOT_LABEL_CAP,
     AssemblyPathway,
     JoinStep,
     assembly_index_exact,
@@ -540,6 +541,21 @@ class TestDot:
         dot = assembly_tree_dot(p)
         assert dot.count("shape=circle") == 1
         assert dot.count("shape=box") == 0
+
+    @pytest.mark.parametrize("s", [deceiver.champernowne(300), '"A\\' * 30])
+    def test_long_step_labelled_by_its_prefix_and_span(self, s):
+        # a label spells at most DOT_LABEL_CAP characters of its step, so the
+        # DOT grows with the steps and not with the sum of their lengths
+        _, pathway = assembly_index_split(s)
+        dot = assembly_tree_dot(pathway)
+        labels = [line.split("label=", 1)[1].rsplit(" shape=", 1)[0] for line in dot.splitlines() if "shape=box" in line]
+        assert len(labels) == len(pathway.steps)
+        for step, label in zip(pathway.steps, labels):
+            text = step.result
+            if len(text) > DOT_LABEL_CAP:
+                text = f"{text[:DOT_LABEL_CAP]}… {step.start}:{step.stop}"
+            assert label == '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        assert labels[-1].endswith(f"… 0:{len(s)}\"")
 
     def test_invalid_pathway_rejected(self):
         p = AssemblyPathway(

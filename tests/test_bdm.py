@@ -411,7 +411,9 @@ class TestCtmRoundTrip:
         CtmTable(1, {"a,b": 1.0, "x": 2.0}),
         CtmTable(1, {'a"b': 1.0, "c\nd": 2.0, " e ": 3.0}),
         CtmTable(2, {(2, 2, "0,1,"): 4.0, (1, 2, '""'): 5.0}),
-    ], ids=["comma", "quote_newline_space", "2d"])
+        CtmTable(1, {"a\rb": 1.0, "x": 2.0}),
+        CtmTable(2, {(1, 2, "\r\n"): 4.0, (1, 1, "\r"): 5.0}),
+    ], ids=["comma", "quote_newline_space", "2d", "carriage_return", "2d_carriage_return"])
     def test_csv_special_blocks_round_trip(self, tmp_path, table):
         # such blocks are legal, and a file saved with them must load back
         path = tmp_path / "special.csv"

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,8 +15,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from seqcomplexity import cli, coding
 from seqcomplexity._util import fmt12
+from seqcomplexity.bdm import ctm_load
 from seqcomplexity.cli import main, synthetic_corpus
 from seqcomplexity.deceiver import CHAMPERNOWNE_CAP, GeneratorSpec, champernowne, modular_generate
+from seqcomplexity.ingest import _csv_rows, load_dataset, load_matrix_csv, load_results
 from seqcomplexity.measures import Measure
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -359,7 +363,7 @@ class TestSmallCommands:
 
     def test_champernowne_over_cap_exits_2(self, capsys):
         assert main(["champernowne", "--n", str(CHAMPERNOWNE_CAP + 1)]) == 2
-        assert capsys.readouterr().err == f"error: n outside [0, {CHAMPERNOWNE_CAP}]\n"
+        assert capsys.readouterr() == ("", f"error: n outside [0, {CHAMPERNOWNE_CAP}]\n")
 
     def test_ctm_gen_complement_rows(self, tmp_path):
         out = str(tmp_path / "ctm.csv")
@@ -419,6 +423,67 @@ class TestSmallCommands:
         assert main(["champernowne", "--n", "4"]) == 0
         assert calls == [4]
         assert capsys.readouterr().out == "123\n1234\n"
+
+
+# each command that writes a CSV file: its arguments but --out, and the
+# number of rows its file holds once loaded back by its reader, header included
+WRITTEN_FILES = {
+    "measure": (["measure", "--input", "{data}", "--measures", "entropy,rle"], lambda p: 1 + len(load_results(p)[1])),
+    "correlate": (["correlate", "--input", "{results}", "--x", "entropy", "--y", "rle"], lambda p: 1 + len(_csv_rows(p, ["x", "y"])[1])),
+    "classify": (["classify", "--input", "{results}"], lambda p: 1 + len(_csv_rows(p, ["measure", "note"])[1])),
+    "synthetic": (["synthetic", "--size", "8"], lambda p: 1 + len(load_dataset(p))),
+    "ctm-gen": (["ctm-gen"], lambda p: 1 + len(ctm_load(p).entries)),
+    "binarize": (["binarize", "--input", "{matrix}", "--threshold", "3"], lambda p: len(load_matrix_csv(p))),
+}
+
+
+@pytest.mark.parametrize("command", WRITTEN_FILES)
+def test_written_csv_has_crlf_rows_and_loads_back(tmp_path, command):
+    # every CSV the package writes goes through ingest.write_csv, in the csv
+    # module's default dialect
+    argv, loaded_rows = WRITTEN_FILES[command]
+    paths = {"data": _write_dataset(tmp_path, [f"m{i},g{i % 2},string,{'AB' * i}C,{i}" for i in range(1, 7)])}
+    paths["results"] = str(tmp_path / "res.csv")
+    paths["matrix"] = str(tmp_path / "m.csv")
+    assert main(["measure", "--input", paths["data"], "--out", paths["results"], "--measures", "entropy,rle"]) == 0
+    Path(paths["matrix"]).write_text("1,4.5\n3,2\n")
+    out = tmp_path / "out.csv"
+    assert main([arg.format(**paths) for arg in argv] + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    rows = data.split(b"\r\n")
+    assert rows.pop() == b"" and not any(b"\r" in row or b"\n" in row for row in rows)
+    assert loaded_rows(out) == len(rows)
+
+
+# a command's argv for an input of n characters, and the largest output bytes
+# and traced peak bytes it may take per input character, at n and at 2n
+COMMAND_BOUNDS = {
+    "tree --split": (2000, lambda n, out: ["tree", "--split", "--string", champernowne(n), "--out", out], 100, 700),
+    "champernowne": (2 * 10**6, lambda n, out: ["champernowne", "--n", str(n)], 1.01, 4),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_BOUNDS)
+@pytest.mark.parametrize("scale", [1, 2])
+def test_command_output_and_peak_linear_in_input(tmp_path, command, scale):
+    # a command whose output or memory grows faster than its input breaks
+    # the per-character bound at one of the two sizes; a split DOT labelled
+    # with each step's full text took 450 and 750 bytes a character, and a
+    # Champernowne prefix built whole 8 and 9 bytes
+    small, make_argv, out_per_char, peak_per_char = COMMAND_BOUNDS[command]
+    n = small * scale
+    out = tmp_path / "out"
+    argv = make_argv(n, str(out))  # the input text is not counted in the peak
+    with open(tmp_path / "stdout", "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    written = sum(p.stat().st_size for p in tmp_path.iterdir())
+    assert written <= out_per_char * n
+    assert peak <= peak_per_char * n
 
 
 class TestSynthetic:

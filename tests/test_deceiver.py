@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from seqcomplexity import deceiver
 from seqcomplexity.assembly import assembly_index_exact
 from seqcomplexity.bdm import toy_table_1d
 from seqcomplexity.coding import shannon_entropy
@@ -11,6 +12,7 @@ from seqcomplexity.deceiver import (
     CHAMPERNOWNE_CAP,
     GeneratorSpec,
     champernowne,
+    champernowne_chunks,
     divergence_report,
     generate,
     modular_generate,
@@ -67,6 +69,23 @@ class TestChampernowne:
         lengths = {n for e in ends for n in (e - 1, e, e + 1) if 0 <= n <= limit} | {limit}
         for n in sorted(lengths):
             assert champernowne(n, base) == want[:n]
+
+    @pytest.mark.parametrize("base", [2, 10, 16, 36])
+    def test_chunks_spell_the_prefix_a_few_numbers_at_a_time(self, monkeypatch, base):
+        monkeypatch.setattr(deceiver, "CHAMPERNOWNE_CHUNK", 3)
+        want = oracles.champernowne_by_number(2000, base)
+        for n in (0, 1, 9, 10, 11, 100, 1234, 2000):
+            pieces = list(champernowne_chunks(n, base))
+            assert "".join(pieces) == champernowne(n, base) == want[:n]
+            # three numbers below n, of at most n.bit_length() digits each
+            assert all(0 < len(p) <= 3 * n.bit_length() for p in pieces)
+
+    def test_chunks_check_arguments_when_called(self):
+        # a caller that writes the pieces as they come writes nothing for bad arguments
+        with pytest.raises(ValueError, match="base"):
+            champernowne_chunks(10, 1)
+        with pytest.raises(ValueError, match="n outside"):
+            champernowne_chunks(CHAMPERNOWNE_CAP + 1)
 
     def test_entropy_trend_toward_log_base(self):
         values = [shannon_entropy(champernowne(n, 10)) for n in (100, 1000, 10000)]

@@ -18,27 +18,27 @@ def test_every_exported_name_resolves(name):
     assert not missing
 
 
-def _reads_a_file(call):
-    """Whether ``call`` is an ``open`` call whose mode can read: no mode, a
-    mode that is not a constant, or one with ``r`` or ``+``."""
-    func = call.func
-    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "open":
-        return False
-    mode = call.args[1] if len(call.args) > 1 else next((k.value for k in call.keywords if k.arg == "mode"), None)
-    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(set(mode.value) & set("r+"))
-
-
-def test_only_ingest_opens_files_for_reading():
-    """Every input file goes through the one CSV reader in ``ingest``."""
+def test_only_ingest_opens_files():
+    """Every file, read or written, goes through ``ingest``: one CSV reader,
+    and one policy for writing (UTF-8, no newline translation)."""
     package = Path(seqcomplexity.__file__).parent
-    readers = [
+    openers = [
         f"{path.name}:{node.lineno}"
         for path in sorted(package.glob("*.py"))
         if path.name != "ingest.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call) and _reads_a_file(node)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"
     ]
-    assert not readers
+    assert not openers
+
+
+def test_ctm_tables_and_matrices_written_through_write_csv():
+    """``bdm`` does not import ``csv``; CTM tables and matrices are written
+    by ``ingest.write_csv``, in the dialect of every other CSV."""
+    tree = ast.parse((Path(seqcomplexity.__file__).parent / "bdm.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert "csv" not in imported
+    assert {("bdm.py", "ctm_save"), ("ingest.py", "save_matrix_csv")} <= _callers("write_csv")
 
 
 def _callers(name):
