@@ -58,16 +58,35 @@ class CtmTable:
     def __post_init__(self):
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
-        chars = set()
+        if not self.entries:
+            raise ValueError("empty table: no entries")
+        entries, chars = {}, set()
         for key, bits in self.entries.items():
-            block = key if self.dimension == 1 else key[2]
-            if not block:
-                raise ValueError("empty block")
+            block = _key_block(self.dimension, key)
             if not 0 < bits < math.inf:
                 raise ValueError(f"non-positive or non-finite ctm_bits for block {block!r}")
+            entries[key] = sig12(bits)
             chars.update(block)
-        self.entries = {key: sig12(bits) for key, bits in self.entries.items()}
+        self.entries = entries
         self.alphabet = frozenset(chars)
+
+
+def _key_block(dimension, key):
+    """The block of a table key, a non-empty string; in 2D the key is ``(rows,
+    cols, block)`` with positive ``int`` rows and cols that multiply to its length."""
+    if dimension == 2 and not (isinstance(key, tuple) and len(key) == 3):
+        raise ValueError(f"2D key {key!r} is not (rows, cols, block)")
+    block = key[2] if dimension == 2 else key
+    if not isinstance(block, str):
+        raise ValueError(f"block {block!r} is not a string")
+    if not block:
+        raise ValueError("empty block")
+    if dimension == 2:
+        if not all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in key[:2]):
+            raise ValueError(f"rows and cols of block {block!r} must be positive integers")
+        if key[0] * key[1] != len(block):
+            raise ValueError("block length does not match rows*cols")
+    return block
 
 
 @dataclass(frozen=True)
@@ -160,12 +179,13 @@ def ctm_enumerate(states: int, symbols: int, step_bound: int) -> CtmTable:
     )
 
 
-def _lookup(table, key, block, policy):
+def _lookup(table, key, policy):
     if key in table.entries:
         return table.entries[key]
+    block = key if table.dimension == 1 else key[2]
     if policy == "entropy_surrogate":
         return len(block) * coding.shannon_entropy(block) + 1.0
-    raise KeyError(f"block {block!r} absent from CTM table")
+    raise ValueError(f"block {block!r} absent from CTM table")
 
 
 def _check_symbols(symbols, table, pad):
@@ -179,11 +199,7 @@ def _check_symbols(symbols, table, pad):
 
 
 def _aggregate(counts, table, policy):
-    return sum(
-        _lookup(table, b, b if isinstance(b, str) else b[2], policy)
-        + math.log2(mult)
-        for b, mult in counts.items()
-    )
+    return sum(_lookup(table, b, policy) + math.log2(mult) for b, mult in counts.items())
 
 
 def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
@@ -298,24 +314,20 @@ def ctm_load(path) -> CtmTable:
         raise ValueError(f"unrecognized header {','.join(header)!r}")
     entries = {}
     for lineno, cells in rows:
-        where = name(lineno, cells)
+        key = block = cells[-2]
         try:
             bits = _finite(cells[-1], "ctm_bits")
+            if dimension == 2:
+                try:
+                    key = (int(cells[0]), int(cells[1]), block)
+                except ValueError:
+                    raise ValueError("non-integer rows or cols") from None
+            _key_block(dimension, key)
+            if key in entries:
+                raise ValueError(f"duplicate block {block!r}")
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-        key = block = cells[-2]
-        if dimension == 2:
-            try:
-                key = (int(cells[0]), int(cells[1]), block)
-            except ValueError:
-                raise ValueError(f"{where}: non-integer rows or cols") from None
-            if key[0] * key[1] != len(block):
-                raise ValueError(f"{where}: block length does not match rows*cols")
-        if key in entries:
-            raise ValueError(f"{where}: duplicate block {block!r}")
+            raise ValueError(f"{name(lineno, cells)}: {exc}") from None
         entries[key] = bits
-    if not entries:
-        raise ValueError("empty table: header only")
     return CtmTable(dimension=dimension, entries=entries, provenance=f"loaded from {path}")
 
 

@@ -11,7 +11,6 @@ import argparse
 import csv
 import functools
 import itertools
-import math
 import random
 import sys
 
@@ -20,6 +19,7 @@ from . import coding, deceiver, stats
 from .assembly import assembly_index_exact, assembly_index_split, assembly_tree_dot
 from .ingest import (
     DATASET_HEADER,
+    _finite,
     binarize_matrix,
     load_dataset,
     load_matrix_csv,
@@ -57,12 +57,9 @@ def _read(what, load, path):
 def _finite_float(text):
     """argparse ``type`` of an option that takes a finite number."""
     try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return x
+        return _finite(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _binary_matrix(record, threshold):
@@ -115,12 +112,12 @@ def cmd_measure(args) -> int:
     records = _read(f"dataset {args.input}", load_dataset, args.input)
     rows = []
     for record in records:
-        x = record.payload if record.payload_kind == "string" else _binary_matrix(record, args.threshold)
+        x = record.payload if isinstance(record.payload, str) else _binary_matrix(record, args.threshold)
         for m in measures:
             try:
                 rows.append((record.id, record.category, m, *evaluate(m, x, tables, params)))
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"record {record.id!r}, measure {m!r}: {exc.args[0] if exc.args else exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"record {record.id!r}, measure {m!r}: {exc}") from None
     write_results(rows, args.out)
     return 0
 
@@ -133,8 +130,6 @@ def cmd_correlate(args) -> int:
             raise ValueError(f"measure {m!r} absent from results file")
     values = {key: r["value"] for key, r in table.items() if r["value"] is not None}
     shared = [i for i, m in values if m == args.x and (i, args.y) in values]
-    if len(shared) < 3:
-        raise ValueError(f"need >= 3 shared ids with both measures, found {len(shared)}")
     xs = [values[i, args.x] for i in shared]
     ys = [values[i, args.y] for i in shared]
     fn = stats.pearson if args.method == "pearson" else stats.spearman
@@ -175,17 +170,12 @@ def cmd_classify(args) -> int:
         for ga, gb in itertools.combinations(groups, 2):
             a, b = values.get((m, ga), []), values.get((m, gb), [])
             row = [m, ga, gb, args.test, len(a), len(b)]
-            if args.test == "welch_t" and min(len(a), len(b)) < 2:
-                out_rows.append(row + ["", "", "", "", "skipped: group with < 2 members"])
-            elif not a or not b:
-                out_rows.append(row + ["", "", "", "", "skipped: empty group"])
-            else:
-                try:
-                    rep = (stats.welch_t if args.test == "welch_t" else stats.ks_two_sample)(a, b)
-                except ValueError as exc:
-                    out_rows.append(row + ["", "", "", "", f"skipped: {exc}"])
-                    continue
-                out_rows.append(row + [fmt12(rep.statistic), fmt12(rep.df), fmt12(rep.p_one_tail), fmt12(rep.p_two_tail), rep.notes])
+            try:
+                rep = (stats.welch_t if args.test == "welch_t" else stats.ks_two_sample)(a, b)
+            except ValueError as exc:
+                out_rows.append(row + ["", "", "", "", f"skipped: {exc}"])
+                continue
+            out_rows.append(row + [fmt12(rep.statistic), fmt12(rep.df), fmt12(rep.p_one_tail), fmt12(rep.p_two_tail), rep.notes])
     table = [header, *out_rows]
     csv.writer(sys.stdout, lineterminator="\n").writerows(table)
     if args.out:

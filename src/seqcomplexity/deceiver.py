@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from . import bdm as _bdm
 from . import coding as _coding
 # assembly_index_split is kept importable here: bench/tracing.py wraps it by name
 from .assembly import assembly_index_split
@@ -36,7 +35,6 @@ __all__ = [
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 DEFAULT_MEASURES = ("entropy", "huffman", "rle", "lzw", "ma_split")
-_BDM_PARAMS = _bdm.BdmParams()
 CHAMPERNOWNE_CAP = 10**8  # longest prefix spelled; champernowne() holds all of it in memory
 CHAMPERNOWNE_CHUNK = 2**16  # most numbers one piece of champernowne_chunks spells
 
@@ -215,12 +213,9 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
         raise ValueError("payload does not match spec")
     values = {}
     for name in measures:
-        entry = MEASURES.get(name)
-        if entry is None or entry.ctm_dim == 2:
+        if name not in MEASURES or MEASURES[name].ctm_dim == 2:
             raise ValueError(f"unknown measure {name!r}")
-        if entry.ctm_dim and ctm_table is None:
-            raise ValueError(f"{name} requested without a CTM table")
-        values[name] = float(evaluate(name, s, {1: ctm_table}, _BDM_PARAMS)[0])
+        values[name] = float(evaluate(name, s, {1: ctm_table})[0])
     distinct = len(set(s))
     h = values["entropy"] if "entropy" in values else _coding.shannon_entropy(s)
     norm = h / math.log2(distinct) if distinct > 1 else 0.0

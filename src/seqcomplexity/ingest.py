@@ -39,7 +39,6 @@ class DatasetRecord:
 
     id: str
     category: str
-    payload_kind: str  # "string" or "matrix"
     payload: "str | list[list[float]]"  # a matrix is a list of rows
     reference_value: float | None = None
 
@@ -171,8 +170,10 @@ def load_matrix_csv(path) -> list[list[float]]:
 
 
 def save_matrix_csv(m, path) -> None:
-    """Write ``m`` as a headerless matrix CSV, integral entries as integers."""
-    write_csv(path, _rectangular([[str(int(v)) if float(v).is_integer() else fmt12(float(v)) for v in row] for row in m]))
+    """Write ``m`` as a headerless matrix CSV, integral entries as integers;
+    a non-finite entry raises ValueError naming it."""
+    cells = [[str(int(v)) if (x := _finite(v, "entry")).is_integer() else fmt12(x) for v in row] for row in m]
+    write_csv(path, _rectangular(cells))
 
 
 def load_dataset(csv_path) -> list[DatasetRecord]:
@@ -213,7 +214,6 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
             DatasetRecord(
                 id=rid,
                 category=row["category"],
-                payload_kind=kind,
                 payload=payload,
                 reference_value=ref,
             )

@@ -31,15 +31,6 @@ def _lzw(s, *_):
     return res.bit_length, f"fixed_width_bits;dict={res.dict_size_final}"
 
 
-def _bdm1d(bits, table, p):
-    return bdm.bdm_1d(bits, table, p), f"block={p.block_size};overlap={p.overlap};boundary={'ignore' if p.pad_symbol is None else 'pad'}"
-
-
-def _bdm2d(m, table, p):
-    r, c = p.block_shape
-    return bdm.bdm_2d(m, table, p), f"block_shape={r}x{c};boundary={'ignore' if p.pad_symbol is None else 'pad'}"
-
-
 MEASURES: dict[str, Measure] = {
     "entropy": Measure(lambda s, *_: (coding.shannon_entropy(s), "bits_per_symbol")),
     "huffman": Measure(_huffman),
@@ -47,12 +38,12 @@ MEASURES: dict[str, Measure] = {
     "lzw": Measure(_lzw),
     "ma_exact": Measure(lambda s, *_: (assembly.assembly_index_exact(s)[0], "exact")),
     "ma_split": Measure(lambda s, *_: (assembly.split_upper_bound(s), "upper_bound")),
-    "bdm1d": Measure(_bdm1d, ctm_dim=1),
-    "bdm2d": Measure(_bdm2d, ctm_dim=2),
+    "bdm1d": Measure(lambda bits, t, p: (bdm.bdm_1d(bits, t, p), f"block={p.block_size};overlap={p.overlap}"), ctm_dim=1),
+    "bdm2d": Measure(lambda m, t, p: (bdm.bdm_2d(m, t, p), "block_shape={}x{}".format(*p.block_shape)), ctm_dim=2),
 }
 
 
-def evaluate(name, payload, tables, params):
+def evaluate(name, payload, tables, params=None):
     """``(value, note)`` of ``payload`` under ``MEASURES[name]``.
 
     ``payload`` is a string or a binary matrix (rows of 0/1 ints); the
@@ -62,10 +53,14 @@ def evaluate(name, payload, tables, params):
     (``;input=utf8_bits``) or the flattened matrix, with the CTM table
     ``tables[1]``.  2: the matrix, with ``tables[2]``; a string gives
     ``(None, "not applicable: string payload")``.  A CTM entry reads the
-    ``BdmParams`` ``params`` too, and its note then ends in
-    ``;missing=<policy>`` unless the policy is ``error``.
+    ``BdmParams`` ``params`` too (None: ``BdmParams()``); its note then names
+    the boundary (``;boundary=ignore`` or ``pad``) before the input, and ends
+    in ``;missing=<policy>`` unless the policy is ``error``.  Every rejection,
+    a missing table included, is a ValueError.
     """
-    entry = MEASURES[name]
+    entry = MEASURES.get(name)
+    if entry is None:
+        raise ValueError(f"unknown measure {name!r}; choose from {','.join(MEASURES)}")
     if entry.ctm_dim == 2:
         if isinstance(payload, str):
             return None, "not applicable: string payload"
@@ -76,7 +71,13 @@ def evaluate(name, payload, tables, params):
         x, suffix = text_to_bits(payload), ";input=utf8_bits"
     else:
         x, suffix = payload, ";input=string"
-    value, note = entry.compute(x, tables.get(entry.ctm_dim), params)
-    if entry.ctm_dim and params.missing_block_policy != "error":
-        suffix += f";missing={params.missing_block_policy}"
+    table = tables.get(entry.ctm_dim)
+    if entry.ctm_dim:
+        if table is None:
+            raise ValueError(f"{name} needs a {entry.ctm_dim}D CTM table")
+        params = params or bdm.BdmParams()
+        suffix = f";boundary={'ignore' if params.pad_symbol is None else 'pad'}" + suffix
+        if params.missing_block_policy != "error":
+            suffix += f";missing={params.missing_block_policy}"
+    value, note = entry.compute(x, table, params)
     return value, note + suffix

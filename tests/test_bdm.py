@@ -123,7 +123,7 @@ class TestBdm1d:
 
     def test_missing_block_error_names_block(self):
         table = CtmTable(dimension=1, entries={"00": 2.0, "11": 2.0, "01": 3.0})
-        with pytest.raises(KeyError, match="10"):
+        with pytest.raises(ValueError, match="^block '10' absent from CTM table$"):
             bdm_1d("0010", table)
 
     def test_missing_block_entropy_surrogate(self):
@@ -439,6 +439,12 @@ class TestCtmRoundTrip:
         with pytest.raises(ValueError, match="empty table"):
             ctm_load(path)
 
+    def test_empty_1d_block_names_line(self, tmp_path):
+        path = tmp_path / "empty_block.csv"
+        path.write_text("block,ctm_bits\n0,1.5\n,2.0\n")
+        with pytest.raises(ValueError, match="^line 3: empty block$"):
+            ctm_load(path)
+
     def test_bad_number_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("block,ctm_bits\n01,notanumber\n")
@@ -462,6 +468,44 @@ class TestCtmRoundTrip:
         path.write_text("block,ctm_bits,note\n01,2.0,x\n")
         with pytest.raises(ValueError, match="unrecognized header 'block,ctm_bits,note'"):
             ctm_load(path)
+
+
+_POSITIVE = st.integers(1, 3)
+# keys a block can have, and keys no block can have
+_GOOD_KEYS = {
+    1: st.text(min_size=1, max_size=4),
+    2: st.tuples(_POSITIVE, _POSITIVE).flatmap(
+        lambda rc: st.tuples(*map(st.just, rc), st.text(min_size=rc[0] * rc[1], max_size=rc[0] * rc[1]))
+    ),
+}
+_BAD_KEYS = {
+    1: st.tuples(st.text(min_size=1, max_size=2)) | st.integers(),
+    2: st.one_of(
+        st.text(min_size=1, max_size=4),
+        st.tuples(st.integers(-2, 0) | st.booleans() | st.just(2.0), _POSITIVE, st.text("01", min_size=1, max_size=4)),
+        st.tuples(_POSITIVE, _POSITIVE, st.text("01", min_size=1, max_size=4)).filter(lambda k: k[0] * k[1] != len(k[2])),
+    ),
+}
+
+
+class TestCtmKeys:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_accepted_table_loads_back(self, tmp_path_factory, data):
+        dimension = data.draw(st.sampled_from([1, 2]), label="dimension")
+        bits = st.floats(min_value=5e-324, max_value=1e308)
+        entries = data.draw(st.dictionaries(_GOOD_KEYS[dimension], bits, max_size=4), label="entries")
+        bad = data.draw(st.none() | _BAD_KEYS[dimension], label="bad")
+        if bad is not None:
+            entries[bad] = 1.0
+        try:
+            table = CtmTable(dimension, entries)
+        except ValueError:
+            assert bad is not None or not entries
+            return
+        path = tmp_path_factory.mktemp("ctm") / "t.csv"
+        ctm_save(table, path)
+        assert ctm_load(path) == table
 
 
 def _reloaded(table, path):
@@ -523,7 +567,15 @@ class TestValidation:
         (lambda: bdm_1d("01101", toy_table_1d(), BdmParams(pad_symbol="2")), "^pad symbol not in table alphabet$"),
         (lambda: bdm_1d("0110", toy_table_1d(), BdmParams(pad_symbol="2")), "^pad symbol not in table alphabet$"),
         (lambda: bdm_2d([[0, 1, 1]] * 3, toy_table_2d(), BdmParams(pad_symbol="x")), "^pad symbol not in table alphabet$"),
-    ], ids=["dimension_3", "dimension_0", "empty_1d_block", "empty_2d_block", "unknown_policy", "pad_used", "pad_unused", "pad_2d"])
+        (lambda: CtmTable(1, {}), "^empty table: no entries$"),
+        (lambda: CtmTable(1, {("0", "1"): 1.0}), r"^block \('0', '1'\) is not a string$"),
+        (lambda: CtmTable(2, {"0101": 1.0}), r"^2D key '0101' is not \(rows, cols, block\)$"),
+        (lambda: CtmTable(2, {(1, 1, 0): 1.0}), "^block 0 is not a string$"),
+        (lambda: CtmTable(2, {(True, 1, "0"): 1.0}), "^rows and cols of block '0' must be positive integers$"),
+        (lambda: CtmTable(2, {(-1, -2, "01"): 1.0}), "^rows and cols of block '01' must be positive integers$"),
+        (lambda: CtmTable(2, {(2, 2, "010"): 1.0}), r"^block length does not match rows\*cols$"),
+    ], ids=["dimension_3", "dimension_0", "empty_1d_block", "empty_2d_block", "unknown_policy", "pad_used", "pad_unused", "pad_2d",
+            "empty_table", "1d_tuple_key", "2d_string_key", "2d_int_block", "2d_bool_rows", "2d_negative_rows", "2d_block_length"])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
@@ -533,6 +585,8 @@ class TestValidation:
         ("2,2.0,0101,4.0", "^line 2: non-integer rows or cols$"),
         ("2,2,010,4.0", "^line 2: block length does not match rows\\*cols$"),
         ("1,3,0101,4.0", "^line 2: block length does not match rows\\*cols$"),
+        ("-1,-2,01,4.0", "^line 2: rows and cols of block '01' must be positive integers$"),
+        ("0,0,,4.0", "^line 2: empty block$"),
     ])
     def test_2d_load_rejects_bad_shape(self, tmp_path, row, message):
         path = tmp_path / "t2.csv"

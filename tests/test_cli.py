@@ -192,11 +192,12 @@ class TestCorrelate:
     def test_absent_measure_exits_2(self, results):
         assert main(["correlate", "--input", results, "--x", "lzw", "--y", "entropy"]) == 2
 
-    def test_too_few_shared_exits_2(self, tmp_path):
+    def test_too_few_shared_exits_2(self, tmp_path, capsys):
         data = _write_dataset(tmp_path, ["m1,c,string,AB,", "m2,c,string,BA,"])
         out = str(tmp_path / "r.csv")
         main(["measure", "--input", data, "--out", out, "--measures", "entropy,rle"])
         assert main(["correlate", "--input", out, "--x", "entropy", "--y", "rle"]) == 2
+        assert capsys.readouterr().err == "error: pearson entropy vs rle: need at least 3 pairs\n"
 
     def test_out_csv_row(self, results, tmp_path):
         row_path = str(tmp_path / "corr.csv")
@@ -272,9 +273,11 @@ class TestClassify:
 
     @pytest.mark.parametrize("test, rows, note", [
         # measure f has values in group b only
-        ("ks", ["m1,a,e,1,", "m2,b,e,2,", "m3,b,f,3,"], "skipped: empty group"),
+        ("ks", ["m1,a,e,1,", "m2,b,e,2,", "m3,b,f,3,"], "skipped: empty sample"),
         ("welch_t", ["m1,a,e,1,", "m2,a,e,1,", "m3,b,e,2,", "m4,b,e,2,"],
          "skipped: zero variance in both samples with unequal means"),
+        # group a has one member
+        ("welch_t", ["m1,a,e,1,", "m2,b,e,2,", "m3,b,e,3,"], "skipped: need at least 2 observations per sample"),
     ])
     def test_skip_notes(self, tmp_path, capsys, test, rows, note):
         path = tmp_path / "r.csv"

@@ -244,6 +244,14 @@ class TestDatasetIo:
             save_matrix_csv(m, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_save_rejects_non_finite_entry(self, tmp_path, entry):
+        # load_matrix_csv refuses such an entry, so no file is written with it
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=f"^non-finite entry {entry!r}$"):
+            save_matrix_csv([[1.5, entry], [0, 1]], path)
+        assert not path.exists()
+
     def test_ragged_matrix_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3\n")
