@@ -215,32 +215,30 @@ def rle_length(s: str) -> int:
 
 
 def lzw_encode(s: str) -> LzwResult:
-    """LZW over an initial dictionary of the distinct symbols of ``s``,
-    numbered in the order of their first occurrence.
-
-    Greedy longest match; each emission appends the matched string plus
-    the next symbol to the dictionary.  ``bytes`` are read as Latin-1, one
-    symbol per byte.
-    """
+    """LZW from a first dictionary of the distinct symbols of ``s`` in order of first
+    occurrence, reading ``s`` element by element (``bytes`` by byte value).  Greedy
+    longest match over a trie: ``children[c]`` maps a symbol to the code of entry ``c``
+    extended by it, and the entries not yet extended share one empty dict, ``leaf``."""
     if not s:
         raise ValueError("empty input")
-    s = s.decode("latin-1") if isinstance(s, bytes) else s
-    table: dict[str, int] = {ch: i for i, ch in enumerate(_symbol_counts(s))}
+    first = {ch: i for i, ch in enumerate(_symbol_counts(s))}
+    leaf = {}
+    children = [leaf] * len(first)
     codes = []
-    w = s[0]
-    for ch in s[1:]:
-        wch = w + ch
-        if wch in table:
-            w = wch
-        else:
-            codes.append(table[w])
-            table[wch] = len(table)
-            w = ch
-    codes.append(table[w])
-    width = math.ceil(math.log2(len(table))) if len(table) > 1 else 0
-    return LzwResult(
-        codes=tuple(codes), dict_size_final=len(table), bit_length=len(codes) * width
-    )
+    it = iter(s)
+    code = first[next(it)]
+    for ch in it:
+        if (nxt := children[code].get(ch)) is not None:
+            code = nxt
+            continue
+        codes.append(code)
+        if children[code] is leaf:
+            children[code] = {}
+        children[code][ch] = len(children)
+        children.append(leaf)
+        code = first[ch]
+    codes.append(code)
+    return LzwResult(tuple(codes), len(children), len(codes) * (len(children) - 1).bit_length())
 
 
 def huffman_tree_dot(result: HuffmanResult) -> str:

@@ -82,6 +82,8 @@ def _finite(cell, what) -> float:
         x = float(cell)
     except ValueError:
         raise ValueError(f"non-numeric {what} {cell!r}") from None
+    except OverflowError:  # an int past the float range
+        x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"non-finite {what} {cell!r}")
     return x

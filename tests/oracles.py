@@ -69,6 +69,26 @@ def lzw_decode(codes, initial_symbols):
     return "".join(out)
 
 
+def lzw_string_table(s):
+    """LZW of the string ``s`` with Welch's table keyed by phrase strings,
+    which grows by the string ``w + ch`` at each emission.  The first table
+    holds the distinct characters in order of first occurrence.  Returns
+    ``(codes, final table size, codes times the bits of the largest code)``."""
+    table = {ch: i for i, ch in enumerate(dict.fromkeys(s))}
+    codes = []
+    w = s[0]
+    for ch in s[1:]:
+        if w + ch in table:
+            w += ch
+        else:
+            codes.append(table[w])
+            table[w + ch] = len(table)
+            w = ch
+    codes.append(table[w])
+    width = math.ceil(math.log2(len(table))) if len(table) > 1 else 0
+    return tuple(codes), len(table), len(codes) * width
+
+
 def student_t_sf_trapezoid(t, df, n=400001):
     """P(T > t) by trapezoidal integration of the t density.
 

@@ -21,8 +21,22 @@ from seqcomplexity.coding import (
 from seqcomplexity.deceiver import champernowne
 
 import oracles
+from test_assembly import _modular, _periodic
 
 TEXT = st.text(alphabet="ABCDE", min_size=1, max_size=30)
+# any code point: astral symbols, and lone surrogates, which the default
+# alphabet leaves out
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=80)
+
+
+def _peak(f, s):
+    """Peak ``tracemalloc`` bytes while ``f(s)`` runs."""
+    tracemalloc.start()
+    try:
+        f(s)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestShannonEntropy:
@@ -213,24 +227,15 @@ class TestRleLength:
     def test_up_to_two_symbols(self, s, want):
         assert rle_length(s) == rle_encode(s)[1] == want
 
-    @staticmethod
-    def _peak(f, s):
-        tracemalloc.start()
-        try:
-            f(s)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_peak_memory_latin1(self):
         # rle_encode's output alone takes about 2 bytes per character here
         s = champernowne(10**6)
-        assert self._peak(rle_length, s) <= 8 * len(s)
+        assert _peak(rle_length, s) <= 8 * len(s)
 
     def test_peak_memory_wide_within_twice_the_encoder(self):
         # one symbol beyond Latin-1 takes the 4-byte path for the whole string
         s = champernowne(10**6 - 1) + "\u0100"
-        assert self._peak(rle_length, s) <= 2 * self._peak(rle_encode, s)
+        assert _peak(rle_length, s) <= 2 * _peak(rle_encode, s)
 
 
 class TestLzw:
@@ -274,9 +279,36 @@ class TestLzw:
         assert res.bit_length == len(res.codes) * width
 
 
-# any code point: astral symbols, and lone surrogates, which the default
-# alphabet leaves out
-ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=80)
+def _lzw_fields(s):
+    res = lzw_encode(s)
+    return res.codes, res.dict_size_final, res.bit_length
+
+
+class TestLzwAgainstStringTable:
+    """The trie gives what Welch's table of phrase strings gives."""
+
+    @given(
+        st.one_of(
+            st.text(alphabet="01", min_size=1), st.text(alphabet="0123456789abcdef", min_size=1), ANY_TEXT.filter(bool)
+        )
+    )
+    def test_short_text(self, s):
+        assert _lzw_fields(s) == oracles.lzw_string_table(s)
+
+    @given(st.one_of(_periodic("ABCD"), _modular(150, 3000)))
+    def test_deceivers(self, s):
+        assert _lzw_fields(s) == oracles.lzw_string_table(s)
+
+    def test_champernowne(self):
+        s = champernowne(10**4)
+        assert _lzw_fields(s) == oracles.lzw_string_table(s)
+
+    def test_peak_memory(self):
+        # entries not yet extended share one empty dict: 32.2 bytes per
+        # character here, against 36.2 for the string table and 43.8 with a
+        # dict of its own for every entry
+        s = champernowne(10**5)
+        assert _peak(lzw_encode, s) <= 36 * len(s)
 
 
 @st.composite
@@ -356,6 +388,12 @@ class TestCountingOrderKeepsValues:
 
     def test_list_of_strings_lzw(self):
         assert lzw_encode(["a", "b", "a", "b"]) == LzwResult(codes=(0, 1, 2), dict_size_final=4, bit_length=6)
+
+    def test_lzw_reads_a_sequence_element_by_element(self):
+        # adding the ints would give (2, 2, 2), and joining the strings
+        # would let a match run across elements, "ab" + "c"
+        assert lzw_encode((1, 2, 3, 1, 2)) == LzwResult(codes=(0, 1, 2, 3), dict_size_final=6, bit_length=12)
+        assert lzw_encode(["ab", "c", "a", "bc"]) == LzwResult(codes=(0, 1, 2, 3), dict_size_final=7, bit_length=12)
 
     def test_bytes_lzw_one_symbol_per_byte(self):
         # adding the byte values 0x61 + 0x62 would give 0xc3, read as a match of "ab"

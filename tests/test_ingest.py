@@ -244,9 +244,10 @@ class TestDatasetIo:
             save_matrix_csv(m, path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, 10**400, -(10**400)])
     def test_save_rejects_non_finite_entry(self, tmp_path, entry):
-        # load_matrix_csv refuses such an entry, so no file is written with it
+        # load_matrix_csv refuses such an entry, so no file is written with
+        # it; an int past the float range reads as infinite
         path = tmp_path / "m.csv"
         with pytest.raises(ValueError, match=f"^non-finite entry {entry!r}$"):
             save_matrix_csv([[1.5, entry], [0, 1]], path)
