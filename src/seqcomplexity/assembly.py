@@ -24,11 +24,11 @@ __all__ = [
     "split_upper_bound",
     "verify_pathway",
     "assembly_tree_dot",
-    "DEFAULT_EXACT_GUARD",
     "DOT_LABEL_CAP",
 ]
 
-DEFAULT_EXACT_GUARD = 25
+_MAX_CUTS = 10**5  # windows and cuts the exact search's set-up may count (about 1.5 us each)
+_MAX_WORK = 10**8  # search work units (5-20 ns each); a call costs the substrings plus two users lists
 DOT_LABEL_CAP = 32  # longest step text a DOT label spells out in full
 
 
@@ -142,11 +142,19 @@ def _substring_universe(s):
 
     Returns (ordered list, split table) where splits[i] lists the
     (left_id, right_id) cut pairs of substring i.  Every cut of a substring
-    of ``s`` is itself a substring of ``s``, so the table is closed.
+    of ``s`` is itself a substring of ``s``, so the table is closed.  The
+    list grows one length at a time, and refuses before a length (n + 1 is
+    empty: the table) once ``n(n + 1) / 2`` windows and the cuts listed
+    pass ``_MAX_CUTS``.
     """
     n = len(s)
-    subs = {s[i:j] for i in range(n) for j in range(i + 1, n + 1)}
-    ordered = sorted(subs, key=lambda w: (len(w), w))
+    ordered, cuts = [], n * (n + 1) // 2
+    for length in range(1, n + 2):
+        if cuts > _MAX_CUTS:
+            raise ValueError(f"exact search set-up exceeds its cap of {_MAX_CUTS} cuts; use the split heuristic")
+        level = sorted({s[i : i + length] for i in range(n - length + 1)})
+        ordered += level
+        cuts += (length - 1) * len(level)
     sid = {w: k for k, w in enumerate(ordered)}
     splits = [[(sid[w[:c]], sid[w[c:]]) for c in range(1, len(w))] for w in ordered]
     return ordered, splits
@@ -168,7 +176,7 @@ def _lz77_phrases(s):
     return phrases
 
 
-def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
+def assembly_index_exact(s: str):
     """Exact assembly index of ``s`` with a witness pathway.
 
     Iterative deepening over the pathway length; within one depth the
@@ -190,13 +198,10 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
 
     Returns ``(index, AssemblyPathway)``.  The witness is the
     lexicographically smallest canonically ordered minimal pathway.
+    Raises ``ValueError`` past ``_MAX_CUTS`` or ``_MAX_WORK``, at any length.
     """
     if not s:
         raise ValueError("empty input")
-    if len(s) > limit:
-        raise ValueError(
-            f"length {len(s)} exceeds exact-search guard {limit}; use split heuristic"
-        )
     n = len(s)
     if n <= 2:
         return n - 1, _fold_pathway(s, [(s, s, tuple(s))] if n == 2 else ())
@@ -226,8 +231,13 @@ def assembly_index_exact(s: str, limit: int = DEFAULT_EXACT_GUARD):
         available[x] = built
 
     chosen = []
+    calls = _MAX_WORK // (len(ordered) + 2 * max(map(len, users)))
 
     def dfs(start, remaining):
+        nonlocal calls
+        calls -= 1
+        if calls < 0:
+            raise ValueError(f"exact search exceeds its cap of {_MAX_WORK} work units; use the split heuristic")
         if remaining == 2:
             # no pathway is one join shorter, so the target is not joinable and
             # the last object must complete one of its cuts; ids from start on

@@ -204,10 +204,10 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
     """Measure ``s`` and juxtapose the generator description length.
 
     ``measures`` may name any string measure of
-    :data:`seqcomplexity.measures.MEASURES`, read as ``evaluate`` reads it;
-    ``ma_exact`` is guarded at 25 characters.  ``s`` must be exactly the
-    output of ``spec``.  ``bdm1d`` reads the UTF-8 bits of ``s`` in 2-symbol
-    blocks, so it needs a 1D ``ctm_table`` whose alphabet holds 0 and 1.
+    :data:`seqcomplexity.measures.MEASURES`, read as ``evaluate`` reads it.
+    ``s`` must be exactly the output of ``spec``.  ``bdm1d`` reads the UTF-8
+    bits of ``s`` in 2-symbol blocks, so it needs a 1D ``ctm_table`` whose
+    alphabet holds 0 and 1.
     """
     if generate(spec) != s:
         raise ValueError("payload does not match spec")

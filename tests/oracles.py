@@ -134,6 +134,13 @@ def addition_chain_length(n):
         frontier = nxt
 
 
+def substring_cuts(s):
+    """The set-up work of the exact assembly search on ``s``: one unit per
+    window ``s[i:j]``, plus ``len - 1`` cuts per distinct substring."""
+    windows = [s[i:j] for i in range(len(s)) for j in range(i + 1, len(s) + 1)]
+    return len(windows) + sum(len(w) - 1 for w in set(windows))
+
+
 def naive_assembly_index(s):
     """Breadth-first search over sets of built objects, no pruning beyond
     substring closure.  Exponential; for very short strings only."""

@@ -23,6 +23,8 @@ import oracles
 SHORT = st.text(alphabet="AB", min_size=1, max_size=9)
 # R + R for a random binary string R of 20 characters
 R_PLUS_R = "BBABBBBBBAABAABABAAB" * 2
+# R and the next five draws of its generator: past the exact search's work cap
+RANDOM_25 = "BBABBBBBBAABAABABAABBABBB"
 
 
 def _modular(max_steps, max_len):
@@ -85,10 +87,58 @@ class TestExact:
         assert oracles.naive_assembly_index("ABCB") == 3
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="exceeds exact-search guard"):
-            assembly_index_exact("AB" * 20)
-        idx, _ = assembly_index_exact("AB" * 20, limit=40)
+        # the caps bound the search's work, not the length of its input
+        idx, _ = assembly_index_exact("AB" * 20)
         assert idx == 6
+        with pytest.raises(ValueError, match="^exact search exceeds its cap of [0-9]+ work units; use the split"):
+            assembly_index_exact(RANDOM_25)
+        with pytest.raises(ValueError, match="^exact search set-up exceeds its cap of [0-9]+ cuts; use the split"):
+            assembly_index_exact("AB" * 5000)
+
+    @pytest.mark.parametrize("make", [
+        lambda: deceiver.champernowne(10**6),
+        lambda: "".join(random.Random(2026).choice("AB") for _ in range(10**4)),
+    ], ids=["champernowne_1e6", "binary_1e4"])
+    def test_setup_refusal_builds_nothing(self, make):
+        s = make()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cuts"):
+                assembly_index_exact(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @given(st.text(alphabet="ABC", min_size=1, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_setup_cap_is_the_count_of_windows_and_cuts(self, s):
+        cuts = oracles.substring_cuts(s)
+        subs = {s[i:j] for i in range(len(s)) for j in range(i + 1, len(s) + 1)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "_MAX_CUTS", cuts - 1)
+            with pytest.raises(ValueError, match="cuts"):
+                assembly._substring_universe(s)
+            mp.setattr(assembly, "_MAX_CUTS", cuts)
+            ordered, splits = assembly._substring_universe(s)
+        assert ordered == sorted(subs, key=lambda w: (len(w), w))
+        assert sum(map(len, splits)) == cuts - len(s) * (len(s) + 1) // 2
+
+    @given(SHORT, st.integers(0, 200), st.integers(0, 10**5))
+    @example("ABBABABB", 10**5, 0)
+    @example("ABBABABB", 10**5, 10**5)
+    @settings(max_examples=100, deadline=None)
+    def test_caps_refuse_and_never_give_a_wrong_index(self, s, max_cuts, max_work):
+        want = assembly_index_exact(s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "_MAX_CUTS", max_cuts)
+            mp.setattr(assembly, "_MAX_WORK", max_work)
+            try:
+                got = assembly_index_exact(s)
+            except ValueError as exc:
+                assert "exceeds its cap" in str(exc)
+            else:
+                assert got == want
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty input"):
@@ -123,7 +173,7 @@ class TestExact:
         )
 
     def test_witness_digest_near_log_bound_24_to_25(self):
-        # strings at the guard's length whose index is near ceil(log2 n), so
+        # strings of 24 and 25 characters whose index is near ceil(log2 n), so
         # each search takes well under a second (digest computed while the
         # exact search still had its per-node doubling cut)
         strings = [
@@ -135,7 +185,7 @@ class TestExact:
         )
 
     def test_repeated_symbol_matches_addition_chains(self):
-        for n in range(1, assembly.DEFAULT_EXACT_GUARD + 1):
+        for n in range(1, 26):
             idx, pathway = assembly_index_exact("A" * n)
             assert idx == oracles.addition_chain_length(n), f"n={n}"
             assert verify_pathway(pathway, "A" * n)

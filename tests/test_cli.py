@@ -21,6 +21,8 @@ from seqcomplexity.deceiver import CHAMPERNOWNE_CAP, GeneratorSpec, champernowne
 from seqcomplexity.ingest import _csv_rows, load_dataset, load_matrix_csv, load_results
 from seqcomplexity.measures import Measure
 
+from test_assembly import RANDOM_25
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 CORPUS = os.path.join(DATA_DIR, "synthetic_corpus.csv")
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -79,11 +81,26 @@ class TestMeasure:
         data = _write_dataset(tmp_path, ["m1,c,string,AB,"])
         assert main(["measure", "--input", data, "--out", str(tmp_path / "o.csv"), "--measures", "gzip"]) == 2
 
-    def test_ma_exact_over_guard_exits_2(self, tmp_path):
-        data = _write_dataset(tmp_path, ["m1,c,string," + "AB" * 20 + ","])
-        assert (
-            main(["measure", "--input", data, "--out", str(tmp_path / "o.csv"), "--measures", "ma_exact"]) == 2
-        )
+    def test_ma_exact_over_guard_exits_2(self, tmp_path, capsys):
+        # a random binary string of 25 characters is past the search's work cap,
+        # and one of 10^4 past its set-up cap
+        for payload, cap in ((RANDOM_25, "work units"), ("AB" * 5000, "cuts")):
+            data = _write_dataset(tmp_path, ["m1,c,string," + payload + ","])
+            out = str(tmp_path / "o.csv")
+            assert main(["measure", "--input", data, "--out", out, "--measures", "ma_exact"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: record 'm1', measure 'ma_exact': exact search") and cap in err
+
+    def test_ma_exact_past_25_characters(self, tmp_path):
+        data = _write_dataset(tmp_path, ["ab30,c,string," + "AB" * 30 + ",", "a127,c,string," + "a" * 127 + ",",
+                                         "ab100,c,string," + "AB" * 100 + ","])
+        out = str(tmp_path / "res.csv")
+        assert main(["measure", "--input", data, "--out", out, "--measures", "ma_exact,ma_split"]) == 0
+        rows = _read_csv(out)
+        exact = {r["id"]: int(r["value"]) for r in rows if r["measure"] == "ma_exact"}
+        split = {r["id"]: int(r["value"]) for r in rows if r["measure"] == "ma_split"}
+        assert exact == {"ab30": 7, "a127": 10, "ab100": 9}
+        assert all(split[k] >= exact[k] for k in exact)
 
     def test_toy_ctm_bdm1d(self, tmp_path):
         data = _write_dataset(tmp_path, ["m1,c,string,AB,"])
@@ -351,9 +368,10 @@ class TestTree:
 
     def test_over_guard_suggests_split(self, tmp_path, capsys):
         out = str(tmp_path / "t.dot")
-        assert main(["tree", "--string", "AB" * 30, "--method", "assembly", "--out", out]) == 2
-        assert "--split" in capsys.readouterr().err
-        assert main(["tree", "--string", "AB" * 30, "--method", "assembly", "--out", out, "--split"]) == 0
+        assert main(["tree", "--string", "AB" * 30, "--method", "assembly", "--out", out]) == 0
+        assert main(["tree", "--string", RANDOM_25, "--method", "assembly", "--out", out]) == 2
+        assert capsys.readouterr().err.rstrip().endswith("; use the split heuristic: pass --split")
+        assert main(["tree", "--string", RANDOM_25, "--method", "assembly", "--out", out, "--split"]) == 0
 
 
 class TestSmallCommands:

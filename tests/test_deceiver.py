@@ -292,9 +292,11 @@ class TestDivergenceReport:
         assert rep.measures == {"ma_exact": float(assembly_index_exact(s)[0])}
 
     def test_ma_exact_over_guard_rejected(self):
-        spec = GeneratorSpec(kind="champernowne", base=10, length=40)
-        with pytest.raises(ValueError, match="guard"):
-            divergence_report(generate(spec), spec, measures=("ma_exact",))
+        # past the exact search's work cap, then past its set-up cap
+        for length, cap in ((40, "work units"), (10**4, "cuts")):
+            spec = GeneratorSpec(kind="champernowne", base=10, length=length)
+            with pytest.raises(ValueError, match=f"^exact search .*cap of [0-9]+ {cap}; use the split heuristic$"):
+                divergence_report(generate(spec), spec, measures=("ma_exact",))
 
     def test_split_bound_on_power_of_two_repetitions(self):
         # the log-bound guarantee holds on the doubling-friendly family
