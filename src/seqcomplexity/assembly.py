@@ -14,7 +14,7 @@ from heapq import heappop, heapreplace
 from itertools import accumulate, count, filterfalse
 from operator import ne
 
-from ._util import dot_escape
+from ._util import dot_escape, is_int
 
 __all__ = [
     "JoinStep",
@@ -76,10 +76,6 @@ def _resolve(ref, steps):
     return steps[ref].result
 
 
-def _is_index(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def verify_pathway(p: AssemblyPathway, target: str) -> bool:
     """Certificate check: True iff ``p`` is a well-formed pathway for ``target``.
 
@@ -98,10 +94,10 @@ def verify_pathway(p: AssemblyPathway, target: str) -> bool:
                 if isinstance(ref, str):
                     if ref not in p.basis:
                         return False
-                elif not (_is_index(ref) and 0 <= ref < i):
+                elif not (is_int(ref) and 0 <= ref < i):
                     return False
             if step.target != target or not (
-                _is_index(step.start) and _is_index(step.stop) and 0 <= step.start < step.stop <= len(target)
+                is_int(step.start) and is_int(step.stop) and 0 <= step.start < step.stop <= len(target)
             ):
                 return False
             if step.result != _resolve(step.left, p.steps) + _resolve(step.right, p.steps):
@@ -426,8 +422,8 @@ def _factor_repeats(s):
     winner that made it, which greedy replacement left nowhere else; later
     rounds only remove its occurrences, and a later definition is no
     longer, so holds it only by being it, which needs it to repeat first.
-    A round that tests more than ``len(t)`` windows regroups ``t``, which
-    bounds the cost of dropping many lengths.
+    A round that tests more than ``len(t)`` windows regroups ``t``; this
+    bounds the windows a round tests, not the characters each ``find`` scans.
     """
     if not s:
         raise ValueError("empty input")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from . import coding
-from ._util import fmt12, sig12
+from ._util import fmt12, is_int, require_ints, sig12
 from .ingest import _csv_rows, _finite, write_csv
 
 __all__ = [
@@ -56,7 +56,7 @@ class CtmTable:
     alphabet: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
+        if not is_int(self.dimension) or self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
         if not self.entries:
             raise ValueError("empty table: no entries")
@@ -82,7 +82,7 @@ def _key_block(dimension, key):
     if not block:
         raise ValueError("empty block")
     if dimension == 2:
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in key[:2]):
+        if not all(is_int(n) and n > 0 for n in key[:2]):
             raise ValueError(f"rows and cols of block {block!r} must be positive integers")
         if key[0] * key[1] != len(block):
             raise ValueError("block length does not match rows*cols")
@@ -109,12 +109,15 @@ class BdmParams:
     def __post_init__(self):
         if self.missing_block_policy not in ("error", "entropy_surrogate"):
             raise ValueError("missing_block_policy must be 'error' or 'entropy_surrogate'")
+        require_ints(block_size=self.block_size, overlap=self.overlap)
         if self.block_size < 1:
             raise ValueError("block_size must be positive")
         if not 0 <= self.overlap < self.block_size:
             raise ValueError("overlap must satisfy 0 <= overlap < block_size")
-        r, c = self.block_shape
-        if r < 1 or c < 1:
+        shape = self.block_shape
+        if not (isinstance(shape, (tuple, list)) and len(shape) == 2 and all(map(is_int, shape))):
+            raise ValueError(f"block_shape must be two integers, not {shape!r}")
+        if min(shape) < 1:
             raise ValueError("block_shape entries must be positive")
 
 

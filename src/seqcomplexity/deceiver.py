@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 
 from . import coding as _coding
+from ._util import require_ints
 # assembly_index_split is kept importable here: bench/tracing.py wraps it by name
 from .assembly import assembly_index_split
 from .ingest import text_to_bits
-from .measures import MEASURES, evaluate
+from .measures import evaluate
 
 __all__ = [
     "GeneratorSpec",
@@ -41,6 +42,7 @@ CHAMPERNOWNE_CHUNK = 2**16  # most numbers one piece of champernowne_chunks spel
 
 def _check_champernowne(n, base):
     """Reject what :func:`champernowne` cannot build, a spec's ``length`` being its ``n``."""
+    require_ints(n=n, base=base)
     if not 2 <= base <= 36:
         raise ValueError("base out of range [2, 36]")
     if not 0 <= n <= CHAMPERNOWNE_CAP:
@@ -112,10 +114,7 @@ class GeneratorSpec:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _FIELDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        for name in ("base", "length", "period", "steps"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+        require_ints(base=self.base, length=self.length, period=self.period, steps=self.steps)
         if not isinstance(self.seed, str):
             raise ValueError(f"seed must be a string, not {self.seed!r}")
         # the expansion appends one character per extension
@@ -213,9 +212,9 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
         raise ValueError("payload does not match spec")
     values = {}
     for name in measures:
-        if name not in MEASURES or MEASURES[name].ctm_dim == 2:
-            raise ValueError(f"unknown measure {name!r}")
-        values[name] = float(evaluate(name, s, {1: ctm_table})[0])
+        if (value := evaluate(name, s, {1: ctm_table})[0]) is None:
+            raise ValueError(f"measure {name!r} reads a matrix, not a string")
+        values[name] = float(value)
     distinct = len(set(s))
     h = values["entropy"] if "entropy" in values else _coding.shannon_entropy(s)
     norm = h / math.log2(distinct) if distinct > 1 else 0.0

@@ -529,6 +529,10 @@ class TestAlphabet:
         assert table.alphabet == frozenset("".join(blocks))
 
 
+# a count is an int that is not a bool; each of these is refused where a count is expected
+NOT_INTS = (2.0, True, "2", None)
+
+
 class TestValidation:
     def test_non_positive_bits_rejected(self):
         with pytest.raises(ValueError, match="non-positive"):
@@ -574,8 +578,18 @@ class TestValidation:
         (lambda: CtmTable(2, {(True, 1, "0"): 1.0}), "^rows and cols of block '0' must be positive integers$"),
         (lambda: CtmTable(2, {(-1, -2, "01"): 1.0}), "^rows and cols of block '01' must be positive integers$"),
         (lambda: CtmTable(2, {(2, 2, "010"): 1.0}), r"^block length does not match rows\*cols$"),
+        *((lambda v=v: BdmParams(block_size=v), f"^block_size must be an integer, not {re.escape(repr(v))}$") for v in NOT_INTS),
+        *((lambda v=v: BdmParams(overlap=v), f"^overlap must be an integer, not {re.escape(repr(v))}$") for v in NOT_INTS),
+        *((lambda v=v: BdmParams(block_shape=(v, 2)), f"^block_shape must be two integers, not {re.escape(repr((v, 2)))}$")
+          for v in NOT_INTS),
+        (lambda: BdmParams(block_shape=(2,)), r"^block_shape must be two integers, not \(2,\)$"),
+        (lambda: BdmParams(block_shape=2), "^block_shape must be two integers, not 2$"),
+        (lambda: BdmParams(block_size=np.int64(2)), f"^block_size must be an integer, not {re.escape(repr(np.int64(2)))}$"),
+        *((lambda v=v: CtmTable(v, {"0": 1.0}), "^dimension must be 1 or 2$") for v in NOT_INTS),
     ], ids=["dimension_3", "dimension_0", "empty_1d_block", "empty_2d_block", "unknown_policy", "pad_used", "pad_unused", "pad_2d",
-            "empty_table", "1d_tuple_key", "2d_string_key", "2d_int_block", "2d_bool_rows", "2d_negative_rows", "2d_block_length"])
+            "empty_table", "1d_tuple_key", "2d_string_key", "2d_int_block", "2d_bool_rows", "2d_negative_rows", "2d_block_length",
+            *(f"{field}_{v!r}" for field in ("block_size", "overlap", "block_shape") for v in NOT_INTS),
+            "block_shape_one_value", "block_shape_int", "block_size_numpy", *(f"dimension_{v!r}" for v in NOT_INTS)])
     def test_rejected_with_message(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()

@@ -87,6 +87,17 @@ class TestChampernowne:
         with pytest.raises(ValueError, match="n outside"):
             champernowne_chunks(CHAMPERNOWNE_CAP + 1)
 
+    @pytest.mark.parametrize("make", [champernowne, champernowne_chunks])
+    @pytest.mark.parametrize("args, message", [
+        ((True,), "^n must be an integer, not True$"),
+        ((2.5,), "^n must be an integer, not 2.5$"),
+        ((10, 10.0), "^base must be an integer, not 10.0$"),
+    ], ids=["bool_n", "float_n", "float_base"])
+    def test_non_integer_arguments_rejected(self, make, args, message):
+        # True would spell "1" and a float would fail inside the digit loop
+        with pytest.raises(ValueError, match=message):
+            make(*args)
+
     def test_entropy_trend_toward_log_base(self):
         values = [shannon_entropy(champernowne(n, 10)) for n in (100, 1000, 10000)]
         for prev, cur in zip(values, values[1:]):
@@ -277,12 +288,12 @@ class TestDivergenceReport:
 
     def test_unknown_measure(self):
         spec = GeneratorSpec(kind="modular", seed="AB", period=9, steps=8)
-        with pytest.raises(ValueError, match="unknown measure"):
+        with pytest.raises(ValueError, match="^unknown measure 'gzip'; choose from "):
             divergence_report(generate(spec), spec, measures=("gzip",))
 
     def test_matrix_only_measure_rejected(self):
         spec = GeneratorSpec(kind="modular", seed="AB", period=9, steps=8)
-        with pytest.raises(ValueError, match="unknown measure 'bdm2d'"):
+        with pytest.raises(ValueError, match="^measure 'bdm2d' reads a matrix, not a string$"):
             divergence_report(generate(spec), spec, measures=("bdm2d",))
 
     def test_ma_exact_accepted_under_guard(self):

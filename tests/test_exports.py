@@ -66,6 +66,24 @@ def test_only_fold_pathway_builds_a_step():
     assert _callers("JoinStep") == {("assembly.py", "_fold_pathway")}
 
 
+def test_only_is_int_reads_a_bool():
+    """A count, size, index or length is an ``int`` that is not a ``bool``;
+    ``_util.is_int`` is the one place that rule is written."""
+    package = Path(seqcomplexity.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk meets an outer function before the ones nested in it, so the innermost owner wins
+        owner = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        found += [
+            (path.name, owner.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and any(getattr(n, "id", None) == "bool" for arg in node.args[1:] for n in ast.walk(arg))
+        ]
+    assert found == [("_util.py", "is_int")]
+
+
 def _tracing():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
