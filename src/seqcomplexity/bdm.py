@@ -208,55 +208,62 @@ def _aggregate(counts, table, policy):
 def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     """BDM of a string: partition into blocks, sum ctm + log2 multiplicity.
 
-    A list or tuple of one-character symbols scores as their joined string.
+    A list or tuple of one-character symbols scores as their joined string,
+    and ``bytes`` as the string of their bits, MSB first.
     """
     params = params or BdmParams()
     if table.dimension != 1:
         raise ValueError("bdm_1d requires a 1-dimensional table")
     size = params.block_size
-    if not isinstance(s, str):
-        s = "".join(s)
-    if len(s) < size:
-        raise ValueError(f"input shorter than block size {size}")
     stride = size - params.overlap
-    n = (len(s) - size) // stride + 1
+    bytewise = not params.overlap and 8 % stride == 0
+    head = b""
+    if isinstance(s, bytes):
+        # the leading 1 keeps the first byte's leading zeros in bin()
+        head, s = (s, "") if bytewise else (b"", bin(int.from_bytes(b"\x01" + s, "big"))[3:])
+    elif not isinstance(s, str):
+        s = "".join(s)
+    elif bytewise and s.isascii() and not s.encode().translate(None, b"01"):
+        m = len(s) // 8
+        head, s = int(s[: 8 * m] or "0", 2).to_bytes(m, "big"), s[8 * m :]
+    if 8 * len(head) + len(s) < size:
+        raise ValueError(f"input shorter than block size {size}")
 
     # Blocks are counted in runs of k consecutive blocks, k chosen so that
     # a run spans about 8 bits of symbols: few runs are distinct, and one
     # Counter entry stands for k blocks.  Run r starts at r*k*stride, so its
     # j-th symbol is the r-th symbol of s[j::k*stride]: zipping those columns
     # counts the runs without slicing them out.  Each distinct run is then
-    # split into its k blocks, and the fewer than k blocks left over are
+    # split into its k blocks, and the blocks left in the rest of s are
     # counted one by one; k == 1 counts the blocks themselves.
     # A block first occurs in a run that first occurs there, at the same
     # place in it, and Counter keeps first-occurrence order; so blocks enter
     # ``counts`` in the order of their first occurrence in the block
     # sequence, and ``_aggregate`` sums the same terms in the same order.
-    # A string of "0"s and "1"s cut into non-overlapping blocks whose size
-    # divides 8 has runs of exactly 8 bits, which are the bytes of
-    # int(s, 2); counting those bytes in Counter's order
-    # (``coding._symbol_counts``) meets the runs in the same order as over
-    # the columns.  Every other input zips the columns.  The bytes of s are
-    # checked first, since int() also reads "_", spaces and a sign.
-    if not params.overlap and 8 % stride == 0 and s.isascii() and not s.encode().translate(None, b"01"):
+    # Non-overlapping blocks of bits whose size divides 8 make runs of one
+    # byte each: ``head`` holds those bytes, given or packed from a string of
+    # "0"s and "1"s (checked first: int() also reads "_", spaces and a sign).
+    # Counting them in Counter's order (``coding._symbol_counts``) meets the
+    # runs in the same order as the columns would.
+    if head:
         k = 8 // stride
-        m = n // k
-        runs = coding._symbol_counts(int(s[: 8 * m] or "0", 2).to_bytes(m, "big"))
-        runs = {format(v, "08b"): c for v, c in runs.items()}
+        runs = {format(v, "08b"): c for v, c in coding._symbol_counts(head).items()}
     else:
         k = max(1, 8 // (stride * max(1, (len(table.alphabet) - 1).bit_length())))
-        m = n // k
+        m = ((len(s) - size) // stride + 1) // k
         runs = Counter(zip(*(s[j :: k * stride][:m] for j in range((k - 1) * stride + size))))
         runs = {"".join(run): c for run, c in runs.items()}
+        s = s[m * k * stride :]
     counts = Counter()
     for run, c in runs.items():
         for i in range(0, k * stride, stride):
             counts[run[i : i + size]] += c
-    for i in range(m * k * stride, n * stride, stride):
+    # what is left of s is at least overlap long, so no count goes below 0
+    tail = ((len(s) - size) // stride + 1) * stride
+    for i in range(0, tail, stride):
         counts[s[i : i + size]] += 1
 
     # the blocks hold every symbol of s before the tail they leave out
-    tail = n * stride
     pad = params.pad_symbol
     _check_symbols([s[tail:], *counts], table, pad)
     if tail < len(s) and pad is not None:

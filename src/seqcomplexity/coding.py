@@ -70,6 +70,9 @@ class LzwResult:
     bit_length: int
 
 
+_last_counted = (None, None)  # (payload, counts) of the last _symbol_counts call on str or bytes
+
+
 def _symbol_counts(s) -> dict:
     """``Counter(s)`` as a plain dict: the same items in the same order.
 
@@ -83,9 +86,17 @@ def _symbol_counts(s) -> dict:
     most about a scan of 4·len(s) symbols more than ``Counter(s)``.
     ``bytes`` are counted by int, as ``Counter`` does; input that is
     neither ``str`` nor ``bytes`` goes straight to ``Counter``.
+
+    The last ``str`` or ``bytes`` counted is kept with its counts until the
+    next (one entry, matched by identity and read in one step, so threads
+    cannot mix two payloads); callers only read the dict it hands out.
     """
+    global _last_counted
     if not isinstance(s, (str, bytes)):
         return Counter(s)
+    last, last_counts = _last_counted
+    if last is s:
+        return last_counts
     by_int = isinstance(s, bytes)
     empty = s[:0]
     counts = {}
@@ -100,6 +111,7 @@ def _symbol_counts(s) -> dict:
         n -= k
     if n:
         counts.update(Counter(rest))
+    _last_counted = s, counts
     return counts
 
 

@@ -210,12 +210,13 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
     """
     if generate(spec) != s:
         raise ValueError("payload does not match spec")
+    # counted before the measures, which then reuse the count (coding._symbol_counts)
+    distinct = len(_coding._symbol_counts(s))
     values = {}
     for name in measures:
         if (value := evaluate(name, s, {1: ctm_table})[0]) is None:
             raise ValueError(f"measure {name!r} reads a matrix, not a string")
         values[name] = float(value)
-    distinct = len(set(s))
     h = values["entropy"] if "entropy" in values else _coding.shannon_entropy(s)
     norm = h / math.log2(distinct) if distinct > 1 else 0.0
     return DivergenceReport(

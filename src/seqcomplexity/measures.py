@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import assembly, bdm, coding
-from .ingest import text_to_bits
 
 __all__ = ["Measure", "MEASURES", "evaluate"]
 
@@ -50,8 +49,9 @@ def evaluate(name, payload, tables, params=None):
     entry's ``ctm_dim`` decides what it reads, and the note ends by naming
     it.  None: the string (``;input=string``) or the matrix flattened row
     major (``;input=matrix_flat``).  1: the string's UTF-8 bits
-    (``;input=utf8_bits``) or the flattened matrix, with the CTM table
-    ``tables[1]``.  2: the matrix, with ``tables[2]``; a string gives
+    (``;input=utf8_bits``), handed over as the UTF-8 bytes, which
+    ``bdm_1d`` reads bit by bit, or the flattened matrix, with the CTM
+    table ``tables[1]``.  2: the matrix, with ``tables[2]``; a string gives
     ``(None, "not applicable: string payload")``.  A CTM entry reads the
     ``BdmParams`` ``params`` too (None: ``BdmParams()``); its note then names
     the boundary (``;boundary=ignore`` or ``pad``) before the input, and ends
@@ -68,7 +68,7 @@ def evaluate(name, payload, tables, params=None):
     elif not isinstance(payload, str):
         x, suffix = "".join(str(v) for row in payload for v in row), ";input=matrix_flat"
     elif entry.ctm_dim == 1:
-        x, suffix = text_to_bits(payload), ";input=utf8_bits"
+        x, suffix = payload.encode("utf-8"), ";input=utf8_bits"
     else:
         x, suffix = payload, ";input=string"
     table = tables.get(entry.ctm_dim)

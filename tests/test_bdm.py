@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 import re
@@ -316,6 +317,49 @@ class TestBdm1dSlicedOracle:
             tracemalloc.stop()
         assert value == toy.entries["01"] + math.log2(400_000)
         assert peak < 4_000_000
+
+
+@functools.cache
+def _bytes_table(name):
+    return ctm_enumerate(2, 2, 30) if name == "enumerated" else toy_table_1d()
+
+
+class TestBdm1dBytes:
+    """bdm_1d reads ``bytes`` as the string of their bits, MSB first: as
+    bytes when its blocks tile each byte, spelled out as bits otherwise."""
+
+    @pytest.mark.parametrize("table", ["enumerated", "toy"])
+    @pytest.mark.parametrize("size, overlap", [(size, overlap) for size in range(1, 9) for overlap in range(size)])
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_equals_sliced_blocks_of_the_bits(self, table, size, overlap, data):
+        table = _bytes_table(table)
+        b = data.draw(
+            st.one_of(st.text(st.characters(min_codepoint=0x80, codec="utf-8"), min_size=1, max_size=12).map(str.encode),
+                      st.binary(min_size=1, max_size=40)),
+            label="b",
+        )
+        pad = data.draw(st.sampled_from([None, "0", "1"]), label="pad")
+        surrogate = data.draw(st.booleans(), label="surrogate")
+        params = BdmParams(
+            block_size=size,
+            overlap=overlap,
+            pad_symbol=pad,
+            missing_block_policy="entropy_surrogate" if surrogate else "error",
+        )
+        bits = "".join(format(byte, "08b") for byte in b)
+        try:
+            want = oracles.bdm_1d_sliced(bits, table.entries, size, overlap, pad, surrogate)
+        except KeyError:
+            with pytest.raises(ValueError, match="absent from CTM table"):
+                bdm_1d(b, table, params)
+        else:
+            assert bdm_1d(b, table, params) == want
+
+    @pytest.mark.parametrize("size, overlap", [(1, 0), (2, 0), (3, 0), (2, 1), (8, 0)])
+    def test_no_bytes_shorter_than_a_block(self, size, overlap):
+        with pytest.raises(ValueError, match=f"^input shorter than block size {size}$"):
+            bdm_1d(b"", toy_table_1d(), BdmParams(block_size=size, overlap=overlap))
 
 
 class TestBdm2d:

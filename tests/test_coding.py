@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -355,6 +356,54 @@ class TestSymbolCounts:
     @pytest.mark.parametrize("s", [(1, 2, 2), ["ab", "cd", "ab"], ["a", "b", "a", "b"], bytearray(b"abca")])
     def test_other_sequences_go_to_counter(self, s):
         assert list(_symbol_counts(s).items()) == oracles.counter_items(s)
+
+
+class TestSymbolCountsMemo:
+    """``_symbol_counts`` remembers the last ``str`` or ``bytes`` it counted,
+    by identity, and hands the same dict to every caller."""
+
+    A = "abracadabra" * 40
+    B = "0110100110010110" * 25
+
+    @pytest.mark.parametrize("measure, oracle", [
+        (shannon_entropy, oracles.shannon_entropy_direct),
+        (lambda s: huffman(s).total_bits, lambda s: oracles.brute_force_prefix_code_bits(Counter(s))),
+        (_lzw_fields, oracles.lzw_string_table),
+    ], ids=["entropy", "huffman", "lzw"])
+    def test_interleaved_payloads_each_get_their_own_counts(self, measure, oracle):
+        for s in (self.A, self.B, self.A):
+            assert measure(s) == oracle(s)
+
+    def test_equal_payloads_that_are_different_objects(self):
+        a, b = self.A, "".join(["abracadabra"] * 40)
+        assert a == b and a is not b
+        counts = _symbol_counts(a)
+        assert _symbol_counts(a) is counts
+        assert _symbol_counts(b) is not counts
+        assert (shannon_entropy(a), huffman(a), _lzw_fields(a)) == (shannon_entropy(b), huffman(b), _lzw_fields(b))
+
+    def test_measures_leave_the_shared_counts_as_counted(self):
+        s = "".join(["mississippi"] * 30)
+        shannon_entropy(s)
+        huffman(s)
+        lzw_encode(s)
+        assert list(_symbol_counts(s).items()) == oracles.counter_items(s)
+
+    def test_list_goes_to_counter_unremembered(self):
+        _symbol_counts(self.A)
+        symbols = list("abca")
+        counts = _symbol_counts(symbols)
+        assert type(counts) is Counter and _symbol_counts(symbols) is not counts
+        assert coding._last_counted[0] is self.A
+
+    def test_at_most_one_payload_held(self):
+        a, b = "".join(["xyz"] * 50), "".join(["uvw"] * 50)
+        before = sys.getrefcount(a)
+        _symbol_counts(a)
+        assert sys.getrefcount(a) == before + 1
+        _symbol_counts(b)
+        assert sys.getrefcount(a) == before
+        assert coding._last_counted[0] is b
 
 
 class TestCountingOrderKeepsValues:

@@ -41,8 +41,9 @@ def test_ctm_tables_and_matrices_written_through_write_csv():
     assert {("bdm.py", "ctm_save"), ("ingest.py", "save_matrix_csv")} <= _callers("write_csv")
 
 
-def _callers(name):
-    """``(file, function)`` of every function in the package that calls ``name``."""
+def _callers(name, *args):
+    """``(file, function)`` of every function in the package that calls
+    ``name``, with the constants ``args`` as its first arguments if given."""
     package = Path(seqcomplexity.__file__).parent
     return {
         (path.name, fn.name)
@@ -51,13 +52,17 @@ def _callers(name):
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+        and [getattr(arg, "value", None) for arg in node.args[: len(args)]] == list(args)
     }
 
 
 def test_only_evaluate_spells_a_payload_in_bits():
-    """``measures.evaluate`` alone decides what a measure reads; the generator
-    spec's own encoding is the one other user of ``text_to_bits``."""
-    assert _callers("text_to_bits") == {("measures.py", "evaluate"), ("deceiver.py", "encode_bits")}
+    """``measures.evaluate`` alone decides what a measure reads, and hands a
+    string payload to ``bdm1d`` as its UTF-8 bytes, which ``bdm_1d`` reads
+    bit by bit: no measure spells 8 characters per byte.  The generator
+    spec's own encoding is the one user of ``text_to_bits``."""
+    assert _callers("text_to_bits") == {("deceiver.py", "encode_bits")}
+    assert ("measures.py", "evaluate") in _callers("encode", "utf-8")
 
 
 def test_only_fold_pathway_builds_a_step():
