@@ -43,7 +43,6 @@ from .ingest import (
     DatasetRecord,
     binarize_matrix,
     load_dataset,
-    sdf_distance_matrix,
     text_to_bits,
     write_results,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "DatasetRecord",
     "binarize_matrix",
     "load_dataset",
-    "sdf_distance_matrix",
     "text_to_bits",
     "write_results",
     "StatReport",

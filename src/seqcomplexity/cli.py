@@ -177,7 +177,7 @@ def cmd_classify(args) -> int:
                 continue
             out_rows.append(row + [fmt12(rep.statistic), fmt12(rep.df), fmt12(rep.p_one_tail), fmt12(rep.p_two_tail), rep.notes])
     table = [header, *out_rows]
-    csv.writer(sys.stdout, lineterminator="\n").writerows(table)
+    csv.writer(sys.stdout).writerows(table)
     if args.out:
         write_csv(args.out, table)
     return 0

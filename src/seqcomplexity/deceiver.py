@@ -147,27 +147,6 @@ class GeneratorSpec:
     def to_json(self) -> str:
         return json.dumps({f: getattr(self, f) for f in ("kind", *_FIELDS[self.kind])}, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorSpec":
-        """Inverse of :meth:`to_json`; ``extension_symbols`` may be left out.
-
-        A document that is not an object, lacks a field or holds a wrongly
-        typed one raises ``ValueError`` naming it.
-        """
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError(f"generator spec must be a JSON object, not {type(data).__name__}")
-        kind = data.get("kind")
-        # an unknown kind reads no field, and __post_init__ rejects it
-        fields = _FIELDS.get(kind, ()) if isinstance(kind, str) else ()
-        for f in ("kind", *fields):
-            if f not in data and f != "extension_symbols":
-                raise ValueError(f"generator spec lacks field {f!r}")
-        values = {f: data[f] for f in fields if f in data}
-        if isinstance(values.get("extension_symbols"), list):
-            values["extension_symbols"] = tuple(values["extension_symbols"])
-        return cls(kind=kind, **values)
-
 
 def modular_generate(spec: GeneratorSpec) -> str:
     """Expand a modular spec: append the module each step; every ``period``

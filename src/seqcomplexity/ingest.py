@@ -1,6 +1,6 @@
 """File input and output: the one CSV reader and the two writers behind
-every file the package reads or writes, text binarization, matrix
-thresholding, and minimal V2000 molfile parsing."""
+every file the package reads or writes, text binarization and matrix
+thresholding."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ __all__ = [
     "DatasetRecord",
     "text_to_bits",
     "binarize_matrix",
-    "sdf_distance_matrix",
     "load_dataset",
     "load_results",
     "write_results",
@@ -119,44 +118,6 @@ def _rectangular(rows):
     if not any(rows) or any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("empty or ragged matrix")
     return rows
-
-
-def sdf_distance_matrix(sdf_text: str) -> list[list[float]]:
-    """Pairwise Euclidean distances between the atoms of a V2000 molfile.
-
-    Only the header, counts line, and atom coordinates are read; bonds and
-    property blocks are skipped.  Parse errors carry 1-based line numbers.
-    """
-    lines = sdf_text.splitlines()
-    if len(lines) < 4:
-        raise ValueError("line 4: missing counts line")
-    counts_line = lines[3]
-    try:
-        natoms = int(counts_line[0:3])
-    except ValueError:
-        parts = counts_line.split()
-        try:
-            natoms = int(parts[0])
-        except (IndexError, ValueError):
-            raise ValueError("line 4: malformed counts line") from None
-    if natoms < 1:
-        raise ValueError("line 4: atom count must be positive")
-    if len(lines) < 4 + natoms:
-        raise ValueError(f"line {len(lines) + 1}: expected {natoms} atom lines")
-    coords = []
-    for k in range(natoms):
-        lineno = 5 + k
-        fields = lines[4 + k].split()
-        if len(fields) < 3:
-            raise ValueError(f"line {lineno}: expected x y z coordinates")
-        try:
-            coords.append([_finite(v, "coordinate") for v in fields[:3]])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return [
-        [math.sqrt((ax - bx) * (ax - bx) + (ay - by) * (ay - by) + (az - bz) * (az - bz)) for bx, by, bz in coords]
-        for ax, ay, az in coords
-    ]
 
 
 def load_matrix_csv(path) -> list[list[float]]:

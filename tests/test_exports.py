@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -103,6 +104,40 @@ def test_every_benchmark_traced_name_resolves():
     targets = _tracing().TARGETS
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in targets if not callable(getattr(module, attr, None))]
     assert targets and not missing
+
+
+def _references(path):
+    """Every name that the file at ``path`` reads, as a name or an
+    attribute, outside the ``def`` of that name: a function's call to
+    itself is not a reader."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owners = owners | {node.name}
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        if name is not None and name not in owners:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_exported_function_has_a_reader():
+    """A public function stays only while a command, demo, measure or the
+    benchmark reads it: a module of the package other than ``__init__``, a
+    demo, or a file under ``bench/``, where a name the tracer wraps counts."""
+    root = Path(__file__).resolve().parents[1]
+    package = Path(seqcomplexity.__file__).parent
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted((root / "demos").glob("*.py")) + sorted((root / "bench").glob("*.py"))
+    read = set().union(*map(_references, sources)) | {attr for _, attr, *_ in _tracing().TARGETS}
+    functions = [n for n in seqcomplexity.__all__ if inspect.isfunction(getattr(seqcomplexity, n))]
+    assert functions
+    assert [n for n in functions if n not in read] == []
 
 
 def _imports(tree):

@@ -3,14 +3,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from seqcomplexity.ingest import (
     binarize_matrix,
     load_dataset,
     load_matrix_csv,
     load_results,
-    sdf_distance_matrix,
     save_matrix_csv,
     text_to_bits,
     write_results,
@@ -79,77 +78,6 @@ class TestBinarize:
         m = binarize_matrix([[0.2, 5.0], [3.0, 0.0]], 1.0)
         again = binarize_matrix(m, t)
         assert again == m
-
-
-SDF_TWO_ATOMS = """mol
-  test
-
-  2  1  0  0  0  0  0  0  0  0999 V2000
-    0.0000    0.0000    0.0000 C   0  0  0  0  0  0  0  0  0  0  0  0
-    3.0000    4.0000    0.0000 O   0  0  0  0  0  0  0  0  0  0  0  0
-  1  2  1  0
-M  END
-"""
-
-
-class TestSdf:
-    def test_three_four_five(self):
-        m = sdf_distance_matrix(SDF_TWO_ATOMS)
-        assert m == [[0.0, 5.0], [5.0, 0.0]]
-
-    def test_single_atom(self):
-        text = "m\n\n\n  1  0  0\n    1.0    2.0    3.0 C\nM  END\n"
-        assert sdf_distance_matrix(text) == [[0.0]]
-
-    def test_missing_atom_lines(self):
-        text = "m\n\n\n  3  0  0\n 0 0 0 C\n 1 1 1 C\n"
-        with pytest.raises(ValueError, match="atom lines"):
-            sdf_distance_matrix(text)
-
-    def test_malformed_counts(self):
-        with pytest.raises(ValueError, match="line 4"):
-            sdf_distance_matrix("m\n\n\nxyz\n")
-
-    @pytest.mark.parametrize("text, message", [
-        ("", "^line 4: missing counts line$"),
-        ("m\n\n\n", "^line 4: missing counts line$"),
-        ("m\n\n\n  0  0  0\n", "^line 4: atom count must be positive$"),
-        ("m\n\n\n -2  0  0\n", "^line 4: atom count must be positive$"),
-        ("m\n\n\n  2  0  0\n 0 0 0 C\n 1 1\n", "^line 6: expected x y z coordinates$"),
-        ("m\n\n\n  1  0  0\n\n", "^line 5: expected x y z coordinates$"),
-    ], ids=["empty", "three_lines", "zero_atoms", "negative_atoms", "two_fields", "blank_atom_line"])
-    def test_rejected_with_line(self, text, message):
-        with pytest.raises(ValueError, match=message):
-            sdf_distance_matrix(text)
-
-    @pytest.mark.parametrize("x, problem", [("a", "non-numeric"), ("nan", "non-finite"), ("1e999", "non-finite")])
-    def test_non_numeric_coordinate_line(self, x, problem):
-        text = f"m\n\n\n  1  0  0\n 0 {x} 0 C\n"
-        with pytest.raises(ValueError, match=f"^line 5: {problem} coordinate '{x}'$"):
-            sdf_distance_matrix(text)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-50, 50), st.floats(-50, 50), st.floats(-50, 50)
-            ),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_metric_properties(self, coords):
-        lines = ["m", "", "", f"{len(coords):3d}  0  0"]
-        for x, y, z in coords:
-            lines.append(f"{x:10.4f}{y:10.4f}{z:10.4f} C")
-        m = sdf_distance_matrix("\n".join(lines))
-        n = len(coords)
-        assert np.allclose(m, list(zip(*m)))
-        assert np.allclose([m[i][i] for i in range(n)], 0.0)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    assert m[i][j] <= m[i][k] + m[k][j] + 1e-6
 
 
 class TestDatasetIo:
