@@ -205,7 +205,7 @@ def _aggregate(counts, table, policy):
     return sum(_lookup(table, b, policy) + math.log2(mult) for b, mult in counts.items())
 
 
-def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
+def bdm_1d(s: str | bytes, table: CtmTable, params: BdmParams | None = None) -> float:
     """BDM of a string: partition into blocks, sum ctm + log2 multiplicity.
 
     A list or tuple of one-character symbols scores as their joined string,
@@ -217,51 +217,30 @@ def bdm_1d(s: str, table: CtmTable, params: BdmParams | None = None) -> float:
     size = params.block_size
     stride = size - params.overlap
     bytewise = not params.overlap and 8 % stride == 0
-    head = b""
+    head, tail = b"", 0
     if isinstance(s, bytes):
         # the leading 1 keeps the first byte's leading zeros in bin()
         head, s = (s, "") if bytewise else (b"", bin(int.from_bytes(b"\x01" + s, "big"))[3:])
     elif not isinstance(s, str):
         s = "".join(s)
-    elif bytewise and s.isascii() and not s.encode().translate(None, b"01"):
-        m = len(s) // 8
-        head, s = int(s[: 8 * m] or "0", 2).to_bytes(m, "big"), s[8 * m :]
     if 8 * len(head) + len(s) < size:
         raise ValueError(f"input shorter than block size {size}")
 
-    # Blocks are counted in runs of k consecutive blocks, k chosen so that
-    # a run spans about 8 bits of symbols: few runs are distinct, and one
-    # Counter entry stands for k blocks.  Run r starts at r*k*stride, so its
-    # j-th symbol is the r-th symbol of s[j::k*stride]: zipping those columns
-    # counts the runs without slicing them out.  Each distinct run is then
-    # split into its k blocks, and the blocks left in the rest of s are
-    # counted one by one; k == 1 counts the blocks themselves.
-    # A block first occurs in a run that first occurs there, at the same
-    # place in it, and Counter keeps first-occurrence order; so blocks enter
-    # ``counts`` in the order of their first occurrence in the block
-    # sequence, and ``_aggregate`` sums the same terms in the same order.
-    # Non-overlapping blocks of bits whose size divides 8 make runs of one
-    # byte each: ``head`` holds those bytes, given or packed from a string of
-    # "0"s and "1"s (checked first: int() also reads "_", spaces and a sign).
-    # Counting them in Counter's order (``coding._symbol_counts``) meets the
-    # runs in the same order as the columns would.
+    # Blocks enter ``counts`` in the order of their first occurrence either
+    # way, so ``_aggregate`` adds the same terms in the same order.  Bytes
+    # whose blocks tile each byte are counted in Counter's order, and each
+    # distinct byte is split into its blocks.  Otherwise block i is made of
+    # the i-th symbols of the columns s[j::stride], zipped.
     if head:
-        k = 8 // stride
-        runs = {format(v, "08b"): c for v, c in coding._symbol_counts(head).items()}
+        counts = Counter()
+        for v, c in coding._symbol_counts(head).items():
+            for i in range(0, 8, stride):
+                counts[format(v, "08b")[i : i + size]] += c
     else:
-        k = max(1, 8 // (stride * max(1, (len(table.alphabet) - 1).bit_length())))
-        m = ((len(s) - size) // stride + 1) // k
-        runs = Counter(zip(*(s[j :: k * stride][:m] for j in range((k - 1) * stride + size))))
-        runs = {"".join(run): c for run, c in runs.items()}
-        s = s[m * k * stride :]
-    counts = Counter()
-    for run, c in runs.items():
-        for i in range(0, k * stride, stride):
-            counts[run[i : i + size]] += c
-    # what is left of s is at least overlap long, so no count goes below 0
-    tail = ((len(s) - size) // stride + 1) * stride
-    for i in range(0, tail, stride):
-        counts[s[i : i + size]] += 1
+        m = (len(s) - size) // stride + 1
+        blocks = Counter(zip(*(s[j::stride][:m] for j in range(size))))
+        counts = Counter({"".join(block): c for block, c in blocks.items()})
+        tail = m * stride
 
     # the blocks hold every symbol of s before the tail they leave out
     pad = params.pad_symbol

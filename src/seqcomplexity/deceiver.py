@@ -97,9 +97,10 @@ class GeneratorSpec:
     """Canonical description of a deceiver generator.
 
     ``description_bits`` is the length of the fixed bit encoding below: a
-    2-bit kind tag, Elias-gamma integers, and 8 bits per seed/extension
-    symbol.  It is an auditable stand-in for program length, not a claim
-    about Kolmogorov complexity.
+    2-bit kind tag, Elias-gamma integers, and 8 bits for each UTF-8 byte of
+    the seed and extension symbols, so 8 bits per ASCII symbol.  It is an
+    auditable stand-in for program length, not a claim about Kolmogorov
+    complexity.
     """
 
     kind: str  # "champernowne" or "modular"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqcomplexity import bdm
+from seqcomplexity import bdm, coding
 from seqcomplexity.bdm import (
     BdmParams,
     CtmTable,
@@ -193,7 +193,7 @@ TERNARY = CtmTable(
 )
 # every second block dropped, so missing blocks take the entropy surrogate
 SPARSE = CtmTable(dimension=1, entries=dict(list(TERNARY.entries.items())[::2]))
-# every binary block of 1-4 symbols: bdm_1d counts runs of 8 // stride blocks
+# every binary block of 1-4 symbols
 BINARY = CtmTable(
     dimension=1,
     entries={
@@ -201,7 +201,7 @@ BINARY = CtmTable(
         for i, block in enumerate(b for k in range(1, 5) for b in product("01", repeat=k))
     },
 )
-# 16 symbols, blocks of 1-2 only: runs of one block from stride 2 on
+# 16 symbols, blocks of 1-2 only
 HEX = CtmTable(
     dimension=1,
     entries={
@@ -212,13 +212,8 @@ HEX = CtmTable(
 SIZE_OVERLAP = [(size, overlap) for size in range(1, 5) for overlap in range(size)]
 
 
-def _blocks_per_run(table, stride):
-    """Blocks that bdm_1d counts as one run: about 8 bits of symbols."""
-    return max(1, 8 // (stride * max(1, (len(table.alphabet) - 1).bit_length())))
-
-
 class TestBdm1dSlicedOracle:
-    """bdm_1d counts runs of blocks column by column; the oracle slices out every block."""
+    """bdm_1d counts blocks column by column; the oracle slices out every block."""
 
     @pytest.mark.parametrize(
         "table", [TERNARY, SPARSE, BINARY, HEX], ids=["full", "sparse", "binary", "hex"]
@@ -242,54 +237,42 @@ class TestBdm1dSlicedOracle:
     @pytest.mark.parametrize("table", [TERNARY, BINARY, HEX], ids=["ternary", "binary", "hex"])
     @pytest.mark.parametrize("size, overlap", SIZE_OVERLAP)
     def test_every_leftover_block_count(self, table, size, overlap):
-        # n blocks are counted as n // k runs of k and n % k single blocks
+        # every count of 1 to 17 blocks, with a leftover tail shorter than a stride
         stride = size - overlap
-        k = _blocks_per_run(table, stride)
         symbols = sorted(table.alphabet)
         rng = random.Random(size * 10 + overlap)
-        for runs in (0, 1, 7):
-            for left in range(k):
-                n = runs * k + left
-                if n == 0:
-                    continue
-                # the tail after the last block is shorter than a stride
-                length = (n - 1) * stride + size + rng.randrange(stride)
-                pool = symbols[: rng.choice([2, len(symbols)])]
-                s = "".join(rng.choice(pool) for _ in range(length))
-                for pad in (None, symbols[-1]):
-                    params = BdmParams(
-                        block_size=size,
-                        overlap=overlap,
-                        pad_symbol=pad,
-                        missing_block_policy="entropy_surrogate",
-                    )
-                    want = oracles.bdm_1d_sliced(s, table.entries, size, overlap, pad, surrogate=True)
-                    assert bdm_1d(s, table, params) == want, (s, pad)
-
-    def test_blocks_per_run_covers_every_k(self):
-        strides = range(1, 5)
-        assert {_blocks_per_run(BINARY, d) for d in strides} == {8, 4, 2}
-        assert {_blocks_per_run(HEX, d) for d in strides} == {2, 1}
+        for n in range(1, 18):
+            length = (n - 1) * stride + size + rng.randrange(stride)
+            pool = symbols[: rng.choice([2, len(symbols)])]
+            s = "".join(rng.choice(pool) for _ in range(length))
+            for pad in (None, symbols[-1]):
+                params = BdmParams(
+                    block_size=size,
+                    overlap=overlap,
+                    pad_symbol=pad,
+                    missing_block_policy="entropy_surrogate",
+                )
+                want = oracles.bdm_1d_sliced(s, table.entries, size, overlap, pad, surrogate=True)
+                assert bdm_1d(s, table, params) == want, (s, pad)
 
     # the symbol outside the alphabet sits after the last block, where no
     # block and, without a pad symbol, no padded block ever reads it
     @pytest.mark.parametrize(
         "s, size",
         [("01012", 2), ("01" * 4 + "2", 2), ("0" * 18 + "2", 3), ("0" * 16 + "12", 4)],
-        ids=["no-run", "one-run-of-4", "runs-of-2", "runs-of-2-size-4"],
+        ids=["2-blocks", "4-blocks", "6-blocks-of-3", "4-blocks-of-4"],
     )
     def test_bad_symbol_only_in_dropped_tail_rejected(self, s, size):
         with pytest.raises(ValueError, match=r"symbols \['2'\] not in table alphabet"):
             bdm_1d(s, BINARY, BdmParams(block_size=size))
 
-    # ... and here in a block left over after the last whole run
+    # ... and here in the last block
     @pytest.mark.parametrize("s, size", [("0" * 8 + "20", 2), ("0" * 16 + "2", 1)])
     def test_bad_symbol_only_in_leftover_block_rejected(self, s, size):
         with pytest.raises(ValueError, match=r"symbols \['2'\] not in table alphabet"):
             bdm_1d(s, BINARY, BdmParams(block_size=size))
 
-    # bit strings under a 3-symbol table: runs of 8 // stride blocks, where
-    # other strings over that table take runs of 4 // stride
+    # bit strings under a table that has a third symbol, which may pad them
     @pytest.mark.parametrize("size", [1, 2, 4])
     @given(s=st.text(alphabet="01", min_size=4, max_size=120), pad=st.sampled_from([None, "0", "2"]))
     @settings(max_examples=40, deadline=None)
@@ -327,6 +310,19 @@ def _bytes_table(name):
 class TestBdm1dBytes:
     """bdm_1d reads ``bytes`` as the string of their bits, MSB first: as
     bytes when its blocks tile each byte, spelled out as bits otherwise."""
+
+    def test_bytes_counted_only_when_blocks_tile_them(self, monkeypatch):
+        # the input's type and the partition choose how blocks are counted, never its content
+        calls = []
+        count = coding._symbol_counts
+        monkeypatch.setattr(coding, "_symbol_counts", lambda s: calls.append(s) or count(s))
+        data = bytes(range(0, 256, 7))
+        bdm_1d("01" * 64, BINARY)
+        bdm_1d(data, BINARY, BdmParams(block_size=3))
+        bdm_1d(data, BINARY, BdmParams(block_size=2, overlap=1))
+        assert calls == []
+        bdm_1d(data, BINARY)
+        assert calls == [data]
 
     @pytest.mark.parametrize("table", ["enumerated", "toy"])
     @pytest.mark.parametrize("size, overlap", [(size, overlap) for size in range(1, 9) for overlap in range(size)])

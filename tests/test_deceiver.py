@@ -165,6 +165,11 @@ class TestGeneratorSpec:
         assert sizes[0] < sizes[1] < sizes[2]
         assert sizes[2] - sizes[0] <= 2 * (math.log2(1_000_000) - math.log2(100)) + 2
 
+    @pytest.mark.parametrize("seed, ext, bits", [("a", ("b",), 24), ("é", ("😀",), 56)], ids=["ascii", "non-ascii"])
+    def test_description_bits_spell_utf8_bytes(self, seed, ext, bits):
+        # 2 kind bits + 4 gamma integers (1+1+1+3 bits) + 8 bits per UTF-8 byte: 1+1, or 2+4
+        assert GeneratorSpec(kind="modular", seed=seed, extension_symbols=ext).description_bits == bits
+
     def test_json_bytes(self):
         # the modular spec's JSON is part of the `long` benchmark input
         assert GeneratorSpec(kind="champernowne", base=2, length=64).to_json() == (
