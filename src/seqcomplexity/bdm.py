@@ -242,10 +242,11 @@ def bdm_1d(s: str | bytes, table: CtmTable, params: BdmParams | None = None) -> 
         counts = Counter({"".join(block): c for block, c in blocks.items()})
         tail = m * stride
 
-    # the blocks hold every symbol of s before the tail they leave out
+    # the blocks hold every symbol of s before the tail they leave out; the
+    # tail is padded only when the last block ends before s does
     pad = params.pad_symbol
     _check_symbols([s[tail:], *counts], table, pad)
-    if tail < len(s) and pad is not None:
+    if tail + params.overlap < len(s) and pad is not None:
         counts[(s[tail:] + pad * size)[:size]] += 1
     return _aggregate(counts, table, params.missing_block_policy)
 

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 _REPEATED_RUN = re.compile(r"(.)\1+", re.S)
-_RUN_OF_TEN_OR_MORE = re.compile(rb"\x00{9,}")
+_ONE_IF_NONZERO = bytes([0] + [1] * 255)  # bytes.translate table
 
 
 @dataclass
@@ -113,6 +113,33 @@ def _symbol_counts(s) -> dict:
         counts.update(Counter(rest))
     _last_counted = s, counts
     return counts
+
+
+def _utf8(s: str) -> bytes:
+    """``s.encode("utf-8")``, with its byte counts derived when ``s`` is the
+    payload ``_symbol_counts`` last counted.
+
+    Then each byte of ``ch.encode("utf-8")`` gains ``k`` for each ``(ch, k)``
+    of the string's counts, in order, and the bytes and their counts become
+    the remembered entry, so ``_symbol_counts`` of the bytes finds them.
+    The dict comes out in ``Counter(bytes)`` order: byte v first occurs
+    inside the first occurrence of the earliest-occurring symbol whose
+    encoding holds v, at its first place in that encoding, and the symbols
+    are visited in the order of their first occurrence, each byte by byte.
+    Any other payload leaves the entry alone, so its bytes are counted
+    when they are asked for.  Encoding comes first, so a lone surrogate
+    raises as ``encode`` does.
+    """
+    global _last_counted
+    b = s.encode("utf-8")
+    last, counts = _last_counted
+    if last is s:
+        byte_counts = {}
+        for ch, k in counts.items():
+            for v in ch.encode("utf-8"):
+                byte_counts[v] = byte_counts.get(v, 0) + k
+        _last_counted = b, byte_counts
+    return b
 
 
 def shannon_entropy(s: str) -> float:
@@ -202,10 +229,15 @@ def rle_length(s: str) -> int:
 
     A run of length L encodes as its symbol and len(str(L)) digits, so the
     length is 2·R plus len(str(L)) − 1 over the runs, where R, the number
-    of runs, is n minus the number of i with s[i] = s[i+1].  A run of
-    length L ≥ 10 is a stretch of L − 1 ≥ 9 equal adjacent pairs.  The
+    of runs, is n minus the number of i with s[i] = s[i+1].  The equal
     pairs are found by XOR-ing the code points (Latin-1 bytes, or else
-    UTF-32 units) with those one place on, as two big integers.
+    UTF-32 units) with those one place on, as two big integers, and marked
+    0, the others 1.  len(str(L)) − 1 is the number of d in {10, 100, …}
+    with L ≥ d, and a run of L ≥ d is a maximal stretch of at least d − 1
+    zero marks, which starts the marks or follows a 1.  So for each d ≤ n
+    ``bytes.count`` finds ``1`` followed by d − 1 zeros once per such
+    stretch, at its left edge (the matches cannot overlap, as each holds
+    one 1), and the stretch that starts the marks is checked apart.
     """
     if not s:
         return 0
@@ -219,11 +251,17 @@ def rle_length(s: str) -> int:
         # where the unit is, that is, at an equal pair
         x |= x >> 16
         x |= x >> 8
-    flags = x.to_bytes((len(s) - 1) * w, "big")[w - 1 :: w]
-    runs = len(s) - flags.count(0)
-    return 2 * runs + sum(
-        len(str(m.end() - m.start() + 1)) - 1 for m in _RUN_OF_TEN_OR_MORE.finditer(flags)
-    )
+    marks = x.to_bytes((len(s) - 1) * w, "big")[w - 1 :: w].translate(_ONE_IF_NONZERO)
+    length = 2 * (1 + marks.count(1))
+    d = 10
+    while d <= len(s):
+        zeros = bytes(d - 1)
+        longer = marks.count(b"\x01" + zeros) + marks.startswith(zeros)
+        if not longer:
+            break
+        length += longer
+        d *= 10
+    return length
 
 
 def lzw_encode(s: str) -> LzwResult:

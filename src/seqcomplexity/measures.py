@@ -50,7 +50,10 @@ def evaluate(name, payload, tables, params=None):
     it.  None: the string (``;input=string``) or the matrix flattened row
     major (``;input=matrix_flat``).  1: the string's UTF-8 bits
     (``;input=utf8_bits``), handed over as the UTF-8 bytes, which
-    ``bdm_1d`` reads bit by bit, or the flattened matrix, with the CTM
+    ``bdm_1d`` reads bit by bit (``coding._utf8`` encodes them, and when a
+    measure before has counted the string's symbols, derives the bytes'
+    counts from those, so ``bdm_1d`` does not count the bytes again), or
+    the flattened matrix, with the CTM
     table ``tables[1]``.  2: the matrix, with ``tables[2]``; a string gives
     ``(None, "not applicable: string payload")``.  A CTM entry reads the
     ``BdmParams`` ``params`` too (None: ``BdmParams()``); its note then names
@@ -68,7 +71,7 @@ def evaluate(name, payload, tables, params=None):
     elif not isinstance(payload, str):
         x, suffix = "".join(str(v) for row in payload for v in row), ";input=matrix_flat"
     elif entry.ctm_dim == 1:
-        x, suffix = payload.encode("utf-8"), ";input=utf8_bits"
+        x, suffix = coding._utf8(payload), ";input=utf8_bits"
     else:
         x, suffix = payload, ";input=string"
     table = tables.get(entry.ctm_dim)

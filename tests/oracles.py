@@ -359,7 +359,7 @@ def bdm_1d_sliced(s, entries, size, overlap=0, pad_symbol=None, surrogate=False)
     stride = size - overlap
     blocks = [s[i : i + size] for i in range(0, len(s) - size + 1, stride)]
     rest = len(blocks) * stride
-    if pad_symbol is not None and rest < len(s):
+    if pad_symbol is not None and rest + overlap < len(s):
         blocks.append(s[rest:].ljust(size, pad_symbol))
     mult = {}
     for block in blocks:

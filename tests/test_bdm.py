@@ -122,6 +122,15 @@ class TestBdm1d:
         # windows of "010" at stride 1: "01", "10"
         assert bdm_1d("010", toy, params) == pytest.approx(3.0 + 2.5, abs=1e-12)
 
+    def test_overlap_pads_nothing_when_the_last_block_ends_the_input(self):
+        # at stride 1 every window fits, so a pad symbol adds no block:
+        # "01", "10", "01" give 3 + log2(2) + 2.5
+        toy = toy_table_1d()
+        padded = BdmParams(block_size=2, overlap=1, pad_symbol="0")
+        assert bdm_1d("0101", toy, padded) == 6.5
+        for s in ("010", "0110", "1101001"):
+            assert bdm_1d(s, toy, padded) == bdm_1d(s, toy, BdmParams(block_size=2, overlap=1))
+
     def test_missing_block_error_names_block(self):
         table = CtmTable(dimension=1, entries={"00": 2.0, "11": 2.0, "01": 3.0})
         with pytest.raises(ValueError, match="^block '10' absent from CTM table$"):

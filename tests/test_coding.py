@@ -12,6 +12,7 @@ from seqcomplexity import coding
 from seqcomplexity.coding import (
     LzwResult,
     _symbol_counts,
+    _utf8,
     huffman,
     huffman_tree_dot,
     lzw_encode,
@@ -223,7 +224,22 @@ class TestRleLength:
 
     @pytest.mark.parametrize(
         "s, want",
-        [("", 0), ("a", 2), ("\U0001f600", 2), ("aa", 2), ("ab", 4), ("\u4e2d\u4e2d", 2), ("a\u0161", 4)],
+        [("", 0), ("a", 2), ("\U0001f600", 2), ("aa", 2), ("ab", 4), ("\u4e2d\u4e2d", 2), ("a\u0161", 4),
+         # runs of exactly 10, 100, 10^4 and 10^5 symbols: as the whole
+         # string, at its start and at its end
+         pytest.param("a" * 10, 3, id="a*10"),
+         pytest.param("a" * 10 + "b", 5, id="a*10+b"),
+         pytest.param("b" + "a" * 10, 5, id="b+a*10"),
+         pytest.param("a" * 100, 4, id="a*100"),
+         pytest.param("a" * 100 + "b", 6, id="a*100+b"),
+         pytest.param("b" + "a" * 100, 6, id="b+a*100"),
+         pytest.param("a" * 10**4, 6, id="a*10**4"),
+         pytest.param("a" * 10**4 + "b", 8, id="a*10**4+b"),
+         pytest.param("b" + "a" * 10**4, 8, id="b+a*10**4"),
+         pytest.param("a" * 10**5, 7, id="a*10**5"),
+         pytest.param("a" * 10**5 + "b", 9, id="a*10**5+b"),
+         pytest.param("b" + "a" * 10**5, 9, id="b+a*10**5"),
+         pytest.param("\u4e2d" + "\U0001f600" * 10**4, 8, id="wide+astral*10**4")],
     )
     def test_up_to_two_symbols(self, s, want):
         assert rle_length(s) == rle_encode(s)[1] == want
@@ -404,6 +420,47 @@ class TestSymbolCountsMemo:
         _symbol_counts(b)
         assert sys.getrefcount(a) == before
         assert coding._last_counted[0] is b
+
+
+class TestUtf8Counts:
+    """``_utf8`` of the payload last counted derives its bytes' counts from
+    the string's counts; any other payload's bytes are counted as before."""
+
+    # Latin-1, BMP and astral symbols, several sharing lead or last bytes
+    SYMBOLS = "a\x00\xff\xe9\u0161\u4e2d\u4e8c\U0001f600\U0001f601\U00010061"
+
+    @given(st.text(st.one_of(st.sampled_from(SYMBOLS), st.characters(exclude_categories=("Cs",))), max_size=80))
+    @example("")
+    @example("\u4e2da\U0001f600\xe9\u4e2d\U0001f601")
+    def test_derived_counts_equal_counter_of_the_bytes(self, s):
+        _symbol_counts(s)
+        with mock.patch.object(coding, "Counter", wraps=Counter) as counter:
+            b = _utf8(s)
+            derived = coding._last_counted[1]
+            got = _symbol_counts(b)
+        assert b == s.encode("utf-8")
+        # handed out as stored: no pass and no Counter counted b
+        assert got is derived
+        counter.assert_not_called()
+        assert list(got.items()) == oracles.counter_items(b)
+
+    def test_other_payload_bytes_counted_as_before(self):
+        other, s = "".join(["xyz"] * 20), "\u4e2d\U0001f600ab" * 30
+        _symbol_counts(other)
+        b = _utf8(s)
+        assert coding._last_counted[0] is other
+        assert b == s.encode("utf-8")
+        assert list(_symbol_counts(b).items()) == oracles.counter_items(b)
+
+    @pytest.mark.parametrize("s", ["a\ud800b", "\udc00", "\U0001f600\ud83d"])
+    def test_lone_surrogate_raises_as_encode_does(self, s):
+        with pytest.raises(UnicodeEncodeError) as want:
+            s.encode("utf-8")
+        counts = _symbol_counts(s)
+        with pytest.raises(UnicodeEncodeError) as got:
+            _utf8(s)
+        assert str(got.value) == str(want.value)
+        assert coding._last_counted == (s, counts)
 
 
 class TestCountingOrderKeepsValues:

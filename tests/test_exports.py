@@ -61,9 +61,11 @@ def test_only_evaluate_spells_a_payload_in_bits():
     """``measures.evaluate`` alone decides what a measure reads, and hands a
     string payload to ``bdm1d`` as its UTF-8 bytes, which ``bdm_1d`` reads
     bit by bit: no measure spells 8 characters per byte.  The generator
-    spec's own encoding is the one user of ``text_to_bits``."""
+    spec's own encoding is the one user of ``text_to_bits``.  The bytes
+    come from ``coding._utf8``, which ``evaluate`` alone calls."""
     assert _callers("text_to_bits") == {("deceiver.py", "encode_bits")}
-    assert ("measures.py", "evaluate") in _callers("encode", "utf-8")
+    assert _callers("_utf8") == {("measures.py", "evaluate")}
+    assert ("coding.py", "_utf8") in _callers("encode", "utf-8")
 
 
 def test_only_fold_pathway_builds_a_step():
