@@ -123,12 +123,12 @@ def cmd_measure(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    _, table = _read(f"results file {args.input}", load_results, args.input)
+    table = _read(f"results file {args.input}", load_results, args.input)
     present = {m for _, m in table}
     for m in (args.x, args.y):
         if m not in present:
             raise ValueError(f"measure {m!r} absent from results file")
-    values = {key: r["value"] for key, r in table.items() if r["value"] is not None}
+    values = {key: v for key, (_, v) in table.items() if v is not None}
     shared = [i for i, m in values if m == args.x and (i, args.y) in values]
     xs = [values[i, args.x] for i in shared]
     ys = [values[i, args.y] for i in shared]
@@ -152,18 +152,15 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    columns, table = _read(f"results file {args.input}", load_results, args.input)
-    group_col = args.group_col
-    if group_col not in columns:
-        raise ValueError(f"group column {group_col!r} not in results file")
+    table = _read(f"results file {args.input}", load_results, args.input)
     values = {}
-    for (_, m), r in table.items():
-        if r["value"] is not None:
-            values.setdefault((m, r[group_col]), []).append(r["value"])
+    for (_, m), (g, v) in table.items():
+        if v is not None:
+            values.setdefault((m, g), []).append(v)
     measures = list(dict.fromkeys(m for m, _ in values))
     groups = sorted({g for _, g in values})
     if len(groups) < 2:
-        raise ValueError(f"need >= 2 groups in column {group_col!r}, found {len(groups)}")
+        raise ValueError(f"need >= 2 groups in column 'category', found {len(groups)}")
     out_rows = []
     header = ["measure", "group_a", "group_b", "test", "n_a", "n_b", "statistic", "df", "p_one_tail", "p_two_tail", "note"]
     for m in measures:
@@ -303,9 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ci", type=float, default=0.99)
     p.add_argument("--out")
 
-    p = sub.add_parser("classify", help="two-sample tests per measure across groups")
+    p = sub.add_parser("classify", help="two-sample tests per measure across categories")
     p.add_argument("--input", required=True)
-    p.add_argument("--group-col", dest="group_col", default="category")
     p.add_argument("--test", choices=("welch_t", "ks"), default="welch_t")
     p.add_argument("--out")
 

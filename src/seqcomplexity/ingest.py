@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from ._util import fmt12
@@ -46,12 +47,12 @@ def _csv_rows(path, columns):
     """The header, the ``(line number, cells)`` rows and the row namer of
     the UTF-8 CSV file at ``path``.
 
-    The first non-blank line is the header, and it must name every column in
-    ``columns``; with no ``columns`` the file has no header.  Blank lines are
-    skipped, and a row whose field count differs from the header's raises
-    ValueError.  ``name(lineno, cells)`` names a row in a message by its
-    ``id`` cell when the header has an ``id`` column, otherwise by its line
-    number; callers name only a row they reject.
+    The first non-blank line is the header: it must name every column in
+    ``columns``, and no column twice.  With no ``columns`` the file has no
+    header.  Blank lines are skipped, and a row whose field count differs
+    from the header's raises ValueError.  ``name(lineno, cells)`` names a
+    row by its ``id`` cell when the header has an ``id`` column, otherwise
+    by its line number; callers name only a row they reject.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -62,6 +63,9 @@ def _csv_rows(path, columns):
         missing = [c for c in columns if c not in header]
         if missing:
             raise ValueError(f"line {lineno}: header lacks {', '.join(missing)}")
+        twice = [c for c, k in Counter(header).items() if k > 1]
+        if twice:
+            raise ValueError(f"line {lineno}: header names {twice[0]!r} twice")
     key = header.index("id") if "id" in header else None
 
     def name(lineno, cells):
@@ -185,24 +189,23 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
 
 
 def load_results(csv_path):
-    """The header and the rows of a results CSV as a dict keyed by
-    ``(id, measure)`` in file order, each row a dict keyed by the header with
-    ``value`` parsed to a finite float (None if empty); a repeated
-    ``(id, measure)`` row raises ValueError."""
+    """A results CSV as ``{(id, measure): (category, value)}`` in file order,
+    ``value`` a finite float or None for an empty cell; columns past the
+    five are read past, and a repeated ``(id, measure)`` row raises
+    ValueError."""
     header, rows, name = _csv_rows(csv_path, RESULTS_HEADER)
-    ids, measures, values = map(header.index, ("id", "measure", "value"))
+    ids, categories, measures, values = map(header.index, ("id", "category", "measure", "value"))
     table = {}
     for lineno, cells in rows:
         key = cells[ids], cells[measures]
         if key in table:
             raise ValueError(f"{name(lineno, cells)}: measure {key[1]!r} repeated")
-        row = table[key] = dict(zip(header, cells))
         cell = cells[values]
         try:
-            row["value"] = _finite(cell, "value") if cell else None
+            table[key] = cells[categories], _finite(cell, "value") if cell else None
         except ValueError as exc:
             raise ValueError(f"{name(lineno, cells)}: {exc}") from None
-    return header, table
+    return table
 
 
 def write_results(rows, csv_path) -> None:

@@ -223,7 +223,7 @@ def test_criterion_12_pipeline_determinism(tmp_path):
         )
         assert (
             main([
-                "classify", "--input", measured, "--group-col", "category",
+                "classify", "--input", measured,
                 "--test", "welch_t", "--out", classified,
             ])
             == 0

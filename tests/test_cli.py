@@ -266,13 +266,6 @@ class TestClassify:
             fields = line.split(",")
             assert float(fields[6]) == 1.0  # disjoint ranges: D = 1
 
-    def test_group_column_absent_from_header_exits_2(self, tmp_path, capsys):
-        # with no rows to look at, the header alone names the columns
-        path = tmp_path / "r.csv"
-        path.write_text("id,category,measure,value,metadata\n", encoding="utf-8")
-        assert main(["classify", "--input", str(path), "--group-col", "group"]) == 2
-        assert "group column 'group' not in results file" in capsys.readouterr().err
-
     def test_single_group_exits_2(self, tmp_path):
         data = _write_dataset(tmp_path, ["m1,g1,string,ABAB,", "m2,g1,string,BABA,"])
         res = str(tmp_path / "r.csv")
@@ -450,7 +443,7 @@ class TestSmallCommands:
 # each command that writes a CSV file: its arguments but --out, and the
 # number of rows its file holds once loaded back by its reader, header included
 WRITTEN_FILES = {
-    "measure": (["measure", "--input", "{data}", "--measures", "entropy,rle"], lambda p: 1 + len(load_results(p)[1])),
+    "measure": (["measure", "--input", "{data}", "--measures", "entropy,rle"], lambda p: 1 + len(load_results(p))),
     "correlate": (["correlate", "--input", "{results}", "--x", "entropy", "--y", "rle"], lambda p: 1 + len(_csv_rows(p, ["x", "y"])[1])),
     "classify": (["classify", "--input", "{results}"], lambda p: 1 + len(_csv_rows(p, ["measure", "note"])[1])),
     "synthetic": (["synthetic", "--size", "8"], lambda p: 1 + len(load_dataset(p))),
@@ -800,10 +793,10 @@ class TestMalformedResults:
 
     @pytest.mark.parametrize("row", ["m2,a,e,2", "m2,a,e,2,,extra"])
     def test_ragged_row_exits_1(self, tmp_path, capsys, row):
-        # a short row leaves None cells, which classify cannot sort as groups
+        # a row shorter or longer than the header is refused, not padded or cut
         path = tmp_path / "res.csv"
         path.write_text(f"id,category,measure,value,metadata\nm1,a,e,1,x\n{row}\nm3,b,e,3,y\n", encoding="utf-8")
-        assert main(["classify", "--input", str(path), "--group-col", "metadata"]) == 1
+        assert main(["classify", "--input", str(path)]) == 1
         assert "row 'm2': field count differs from the header" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["correlate", "classify"])
@@ -897,6 +890,22 @@ class TestInputFiles:
         assert main(self._argv(kind, str(path), tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and what in err and str(path) in err
+
+    # a header that names a column twice, where the later cell would be read unseen
+    TWICE = {
+        "dataset": ("id,category,payload_kind,payload,reference_value,payload\nm1,c,string,ABAB,,ZZZZZZ\n", "payload"),
+        "results": ("id,category,measure,value,metadata,category\nm1,a,e,1,,x\nm2,b,e,2,,x\nm3,b,e,3,,y\n", "category"),
+    }
+
+    @pytest.mark.parametrize("kind", ["dataset", "results-classify"])
+    def test_header_naming_a_column_twice_exits_1(self, tmp_path, capsys, kind):
+        what = kind.partition("-")[0]
+        content, column = self.TWICE[what]
+        path = tmp_path / "input.csv"
+        path.write_text(content, encoding="utf-8")
+        assert main(self._argv(kind, str(path), tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what}") and err.endswith(f" {path}: line 1: header names {column!r} twice\n")
 
     @pytest.mark.parametrize("kind", ["dataset", "results-correlate", "results-classify", "matrix", "CTM table"])
     def test_valid_file_exits_0(self, tmp_path, kind):

@@ -153,11 +153,10 @@ class TestDatasetIo:
             "m2,b,e,2,x,p\nm1,a,e,,y,q\n\nm1,a,h,1.5,z,r\nm2,b,h,3,w,s\n",
             encoding="utf-8",
         )
-        header, table = load_results(path)
-        assert header == ["id", "category", "measure", "value", "metadata", "extra"]
-        assert list(table) == [("m2", "e"), ("m1", "e"), ("m1", "h"), ("m2", "h")]
-        assert table["m1", "h"] == {"id": "m1", "category": "a", "measure": "h", "value": 1.5, "metadata": "z", "extra": "r"}
-        assert [r["value"] for r in table.values()] == [2.0, None, 1.5, 3.0]
+        # (category, value) pairs in file order; the extra column is read past
+        assert list(load_results(path).items()) == [
+            (("m2", "e"), ("b", 2.0)), (("m1", "e"), ("a", None)), (("m1", "h"), ("a", 1.5)), (("m2", "h"), ("b", 3.0)),
+        ]
 
     def test_matrix_csv_round_trip(self, tmp_path):
         m = np.array([[1.0, 2.5], [3.0, 4.0]])
