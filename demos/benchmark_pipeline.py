@@ -29,9 +29,9 @@ print(f"corpus: {len(rows)} strings, lengths {min(len(p) for *_, p in rows)}"
 
 values = defaultdict(list)
 by_cat = defaultdict(lambda: defaultdict(list))
+names = ("entropy", "huffman", "rle", "ma_split")
 for rid, cat, payload in rows:
-    for name in ("entropy", "huffman", "rle", "ma_split"):
-        v = evaluate(name, payload, {}, None)[0]
+    for name, (v, _) in zip(names, evaluate(names, payload, {})):
         values[name].append(v)
         by_cat[name][cat].append(v)
 

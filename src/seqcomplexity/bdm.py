@@ -205,11 +205,13 @@ def _aggregate(counts, table, policy):
     return sum(_lookup(table, b, policy) + math.log2(mult) for b, mult in counts.items())
 
 
-def bdm_1d(s: str | bytes, table: CtmTable, params: BdmParams | None = None) -> float:
+def bdm_1d(s: str | bytes, table: CtmTable, params: BdmParams | None = None, *, counts=None) -> float:
     """BDM of a string: partition into blocks, sum ctm + log2 multiplicity.
 
     A list or tuple of one-character symbols scores as their joined string,
-    and ``bytes`` as the string of their bits, MSB first.
+    and ``bytes`` as the string of their bits, MSB first.  ``counts``, if
+    given, must be ``coding._symbol_counts(s)``; it is read only where the
+    bytes are counted, and counted there when omitted.
     """
     params = params or BdmParams()
     if table.dimension != 1:
@@ -226,29 +228,29 @@ def bdm_1d(s: str | bytes, table: CtmTable, params: BdmParams | None = None) -> 
     if 8 * len(head) + len(s) < size:
         raise ValueError(f"input shorter than block size {size}")
 
-    # Blocks enter ``counts`` in the order of their first occurrence either
+    # Blocks enter ``blocks`` in the order of their first occurrence either
     # way, so ``_aggregate`` adds the same terms in the same order.  Bytes
     # whose blocks tile each byte are counted in Counter's order, and each
     # distinct byte is split into its blocks.  Otherwise block i is made of
     # the i-th symbols of the columns s[j::stride], zipped.
     if head:
-        counts = Counter()
-        for v, c in coding._symbol_counts(head).items():
+        blocks = Counter()
+        for v, c in (coding._symbol_counts(head) if counts is None else counts).items():
             for i in range(0, 8, stride):
-                counts[format(v, "08b")[i : i + size]] += c
+                blocks[format(v, "08b")[i : i + size]] += c
     else:
         m = (len(s) - size) // stride + 1
-        blocks = Counter(zip(*(s[j::stride][:m] for j in range(size))))
-        counts = Counter({"".join(block): c for block, c in blocks.items()})
+        columns = Counter(zip(*(s[j::stride][:m] for j in range(size))))
+        blocks = Counter({"".join(block): c for block, c in columns.items()})
         tail = m * stride
 
     # the blocks hold every symbol of s before the tail they leave out; the
     # tail is padded only when the last block ends before s does
     pad = params.pad_symbol
-    _check_symbols([s[tail:], *counts], table, pad)
+    _check_symbols([s[tail:], *blocks], table, pad)
     if tail + params.overlap < len(s) and pad is not None:
-        counts[(s[tail:] + pad * size)[:size]] += 1
-    return _aggregate(counts, table, params.missing_block_policy)
+        blocks[(s[tail:] + pad * size)[:size]] += 1
+    return _aggregate(blocks, table, params.missing_block_policy)
 
 
 def bdm_2d(m, table: CtmTable, params: BdmParams | None = None) -> float:

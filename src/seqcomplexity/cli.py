@@ -113,9 +113,10 @@ def cmd_measure(args) -> int:
     rows = []
     for record in records:
         x = record.payload if isinstance(record.payload, str) else _binary_matrix(record, args.threshold)
+        results = evaluate(measures, x, tables, params)  # a measure's ValueError comes out of its next()
         for m in measures:
             try:
-                rows.append((record.id, record.category, m, *evaluate(m, x, tables, params)))
+                rows.append((record.id, record.category, m, *next(results)))
             except ValueError as exc:
                 raise ValueError(f"record {record.id!r}, measure {m!r}: {exc}") from None
     write_results(rows, args.out)

@@ -70,9 +70,6 @@ class LzwResult:
     bit_length: int
 
 
-_last_counted = (None, None)  # (payload, counts) of the last _symbol_counts call on str or bytes
-
-
 def _symbol_counts(s) -> dict:
     """``Counter(s)`` as a plain dict: the same items in the same order.
 
@@ -86,17 +83,9 @@ def _symbol_counts(s) -> dict:
     most about a scan of 4·len(s) symbols more than ``Counter(s)``.
     ``bytes`` are counted by int, as ``Counter`` does; input that is
     neither ``str`` nor ``bytes`` goes straight to ``Counter``.
-
-    The last ``str`` or ``bytes`` counted is kept with its counts until the
-    next (one entry, matched by identity and read in one step, so threads
-    cannot mix two payloads); callers only read the dict it hands out.
     """
-    global _last_counted
     if not isinstance(s, (str, bytes)):
         return Counter(s)
-    last, last_counts = _last_counted
-    if last is s:
-        return last_counts
     by_int = isinstance(s, bytes)
     empty = s[:0]
     counts = {}
@@ -111,47 +100,42 @@ def _symbol_counts(s) -> dict:
         n -= k
     if n:
         counts.update(Counter(rest))
-    _last_counted = s, counts
     return counts
 
 
-def _utf8(s: str) -> bytes:
-    """``s.encode("utf-8")``, with its byte counts derived when ``s`` is the
-    payload ``_symbol_counts`` last counted.
+def _utf8(s: str, counts) -> tuple[bytes, dict]:
+    """``s.encode("utf-8")`` and its byte counts, derived from ``counts``,
+    the symbol counts of ``s``.
 
-    Then each byte of ``ch.encode("utf-8")`` gains ``k`` for each ``(ch, k)``
-    of the string's counts, in order, and the bytes and their counts become
-    the remembered entry, so ``_symbol_counts`` of the bytes finds them.
-    The dict comes out in ``Counter(bytes)`` order: byte v first occurs
-    inside the first occurrence of the earliest-occurring symbol whose
-    encoding holds v, at its first place in that encoding, and the symbols
-    are visited in the order of their first occurrence, each byte by byte.
-    Any other payload leaves the entry alone, so its bytes are counted
-    when they are asked for.  Encoding comes first, so a lone surrogate
-    raises as ``encode`` does.
+    Each byte of ``ch.encode("utf-8")`` gains ``k`` for each ``(ch, k)`` of
+    ``counts``, in order.  The dict comes out in ``Counter(bytes)`` order:
+    byte v first occurs inside the first occurrence of the
+    earliest-occurring symbol whose encoding holds v, at its first place in
+    that encoding, and the symbols are visited in the order of their first
+    occurrence, each byte by byte.  Encoding comes first, so a lone
+    surrogate raises as ``encode`` does.
     """
-    global _last_counted
     b = s.encode("utf-8")
-    last, counts = _last_counted
-    if last is s:
-        byte_counts = {}
-        for ch, k in counts.items():
-            for v in ch.encode("utf-8"):
-                byte_counts[v] = byte_counts.get(v, 0) + k
-        _last_counted = b, byte_counts
-    return b
+    byte_counts = {}
+    for ch, k in counts.items():
+        for v in ch.encode("utf-8"):
+            byte_counts[v] = byte_counts.get(v, 0) + k
+    return b, byte_counts
 
 
-def shannon_entropy(s: str) -> float:
-    """Empirical Shannon entropy of ``s`` in bits per symbol."""
+def shannon_entropy(s: str, *, counts=None) -> float:
+    """Empirical Shannon entropy of ``s`` in bits per symbol; ``counts``, if
+    given, must be ``_symbol_counts(s)``, which is taken when it is not."""
     if not s:
         raise ValueError("empty input")
     n = len(s)
-    return -sum((c / n) * math.log2(c / n) for c in _symbol_counts(s).values()) + 0.0
+    counts = _symbol_counts(s) if counts is None else counts
+    return -sum((c / n) * math.log2(c / n) for c in counts.values()) + 0.0
 
 
-def huffman(s: str) -> HuffmanResult:
-    """Static Huffman code for the symbol frequencies of ``s``.
+def huffman(s: str, *, counts=None) -> HuffmanResult:
+    """Static Huffman code for the symbol frequencies of ``s``, which
+    ``counts`` holds if given (as in :func:`shannon_entropy`).
 
     Merging pops the two lowest-count nodes; among equal counts the most
     recently created node wins (internal nodes over leaves, later leaves
@@ -161,7 +145,7 @@ def huffman(s: str) -> HuffmanResult:
     """
     if not s:
         raise ValueError("empty input")
-    counts = _symbol_counts(s)  # insertion order = first occurrence in s
+    counts = _symbol_counts(s) if counts is None else counts  # insertion order = first occurrence in s
     if len(counts) == 1:
         ((sym, c),) = counts.items()
         leaf = HuffmanNode(count=c, symbol=sym)
@@ -264,14 +248,15 @@ def rle_length(s: str) -> int:
     return length
 
 
-def lzw_encode(s: str) -> LzwResult:
+def lzw_encode(s: str, *, counts=None) -> LzwResult:
     """LZW from a first dictionary of the distinct symbols of ``s`` in order of first
-    occurrence, reading ``s`` element by element (``bytes`` by byte value).  Greedy
+    occurrence (the keys of ``counts`` if given, as in :func:`shannon_entropy`),
+    reading ``s`` element by element (``bytes`` by byte value).  Greedy
     longest match over a trie: ``children[c]`` maps a symbol to the code of entry ``c``
     extended by it, and the entries not yet extended share one empty dict, ``leaf``."""
     if not s:
         raise ValueError("empty input")
-    first = {ch: i for i, ch in enumerate(_symbol_counts(s))}
+    first = {ch: i for i, ch in enumerate(_symbol_counts(s) if counts is None else counts)}
     leaf = {}
     children = [leaf] * len(first)
     codes = []

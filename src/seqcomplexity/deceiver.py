@@ -190,15 +190,16 @@ def divergence_report(s: str, spec: GeneratorSpec, measures=DEFAULT_MEASURES, ct
     """
     if generate(spec) != s:
         raise ValueError("payload does not match spec")
-    # counted before the measures, which then reuse the count (coding._symbol_counts)
-    distinct = len(_coding._symbol_counts(s))
+    # one count of the symbols serves the measures and the normalized entropy
+    counts = _coding._symbol_counts(s)
+    measures = tuple(measures)
     values = {}
-    for name in measures:
-        if (value := evaluate(name, s, {1: ctm_table})[0]) is None:
+    for name, (value, _) in zip(measures, evaluate(measures, s, {1: ctm_table}, counts=counts)):
+        if value is None:
             raise ValueError(f"measure {name!r} reads a matrix, not a string")
         values[name] = float(value)
-    h = values["entropy"] if "entropy" in values else _coding.shannon_entropy(s)
-    norm = h / math.log2(distinct) if distinct > 1 else 0.0
+    h = values["entropy"] if "entropy" in values else _coding.shannon_entropy(s, counts=counts)
+    norm = h / math.log2(len(counts)) if len(counts) > 1 else 0.0
     return DivergenceReport(
         measures=values,
         description_bits=spec.description_bits,

@@ -152,16 +152,16 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
     """
     base = os.path.dirname(os.path.abspath(csv_path))
     header, rows, name = _csv_rows(csv_path, DATASET_HEADER)
+    ids, categories, kinds, payloads, refs = map(header.index, DATASET_HEADER)
     records = []
     seen = set()
     for lineno, cells in rows:
         where = name(lineno, cells)
-        row = dict(zip(header, cells))
-        rid = row["id"]
+        rid = cells[ids]
         if rid in seen:
             raise ValueError(f"duplicate id {rid!r}")
         seen.add(rid)
-        kind, payload = row["payload_kind"], row["payload"]
+        kind, payload = cells[kinds], cells[payloads]
         if kind not in ("string", "matrix"):
             raise ValueError(f"{where}: unknown payload kind {kind!r}")
         if not payload:
@@ -172,19 +172,12 @@ def load_dataset(csv_path) -> list[DatasetRecord]:
                 payload = load_matrix_csv(mpath)
             except (OSError, ValueError) as exc:  # UnicodeDecodeError included
                 raise ValueError(f"{where}: matrix {mpath}: {exc}") from None
-        ref = row["reference_value"]
+        ref = cells[refs]
         try:
             ref = _finite(ref, "reference_value") if ref else None
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        records.append(
-            DatasetRecord(
-                id=rid,
-                category=row["category"],
-                payload=payload,
-                reference_value=ref,
-            )
-        )
+        records.append(DatasetRecord(id=rid, category=cells[categories], payload=payload, reference_value=ref))
     return records
 
 

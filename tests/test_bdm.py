@@ -361,6 +361,18 @@ class TestBdm1dBytes:
         else:
             assert bdm_1d(b, table, params) == want
 
+    @pytest.mark.parametrize("size, overlap", [(1, 0), (2, 0), (3, 0), (2, 1), (4, 0)])
+    @given(s=st.one_of(st.binary(min_size=8), st.text(alphabet="01", min_size=8)))
+    @settings(max_examples=20)
+    def test_same_value_with_and_without_counts(self, size, overlap, s):
+        params = BdmParams(block_size=size, overlap=overlap)
+        assert bdm_1d(s, BINARY, params, counts=coding._symbol_counts(s)) == bdm_1d(s, BINARY, params)
+
+    @given(st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=40))
+    def test_derived_byte_counts_give_the_value_of_counted_bytes(self, s):
+        b, counts = coding._utf8(s, coding._symbol_counts(s))
+        assert bdm_1d(b, BINARY, counts=counts) == bdm_1d(b, BINARY)
+
     @pytest.mark.parametrize("size, overlap", [(1, 0), (2, 0), (3, 0), (2, 1), (8, 0)])
     def test_no_bytes_shorter_than_a_block(self, size, overlap):
         with pytest.raises(ValueError, match=f"^input shorter than block size {size}$"):

@@ -1,5 +1,6 @@
 """The benchmark's outputs, pinned: a change that claims byte-identical
-outputs must leave each workload's seed-7 digest as it is."""
+outputs must leave each workload's seed-7 digest as it is.  And the
+measures still reach the functions that the benchmark's tracer wraps."""
 
 import json
 import os
@@ -8,6 +9,12 @@ import subprocess
 import sys
 
 import pytest
+
+from seqcomplexity.bdm import toy_table_1d
+from seqcomplexity.cli import main
+from seqcomplexity.deceiver import GeneratorSpec, divergence_report, generate
+
+from test_exports import _tracing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,3 +35,31 @@ def test_seed_7_outputs_pinned(workload, tmp_path):
     verdict = json.loads(proc.stdout.splitlines()[-1])
     assert verdict["correct"] is True and verdict["failed"] == 0, verdict
     assert re.search(f"^outputs sha256={DIGESTS[workload]} ", proc.stdout, re.M), proc.stdout
+
+
+# the layers that bench-smoke's traced step requires to read calls, for
+# both the corpus and the long workload
+COUNTING_LAYERS = ["coding.shannon_entropy", "coding.huffman", "coding.lzw_encode", "bdm.bdm_1d"]
+
+
+def _traced_calls(run):
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    return {layer: metrics[f"{layer}.calls"][0] for layer in COUNTING_LAYERS}
+
+
+def test_tracer_sees_every_counting_layer(tmp_path):
+    corpus = os.path.join(ROOT, "tests", "data", "synthetic_corpus.csv")
+    args = ["measure", "--input", corpus, "--out", str(tmp_path / "r.csv"),
+            "--measures", "entropy,huffman,lzw,bdm1d", "--toy-ctm"]
+    assert _traced_calls(lambda: main(args)) == dict.fromkeys(COUNTING_LAYERS, 200)
+
+    spec = GeneratorSpec(kind="champernowne", base=10, length=2000)
+    measures = ("entropy", "huffman", "rle", "lzw", "bdm1d")
+    report = lambda: divergence_report(generate(spec), spec, measures=measures, ctm_table=toy_table_1d())
+    assert _traced_calls(report) == dict.fromkeys(COUNTING_LAYERS, 1)

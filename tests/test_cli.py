@@ -71,6 +71,12 @@ class TestMeasure:
         assert "--measures names 'entropy' twice" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_one_symbol_entropy_written_as_zero(self, tmp_path):
+        data = _write_dataset(tmp_path, ["m1,c,string,aaaaaaa,"])
+        out = str(tmp_path / "res.csv")
+        assert main(["measure", "--input", data, "--out", out, "--measures", "entropy"]) == 0
+        assert _read_csv(out)[0]["value"] == "0"
+
     def test_abracadabra_ma_exact(self, tmp_path):
         data = _write_dataset(tmp_path, ["abra11,demo,string,ABRACADABRA,"])
         out = str(tmp_path / "res.csv")
@@ -126,7 +132,7 @@ class TestMeasure:
         assert float(rows[0]["value"]) > 0
 
     def test_ctm_dim_decides_input(self, tmp_path):
-        assert [f.name for f in dataclasses.fields(Measure)] == ["compute", "ctm_dim"]
+        assert [f.name for f in dataclasses.fields(Measure)] == ["compute", "ctm_dim", "reads_counts"]
         (tmp_path / "m.csv").write_text("0,1\n1,1\n")
         data = _write_dataset(tmp_path, ["s1,c,string,AB,", "m1,c,matrix,m.csv,"])
         out = str(tmp_path / "res.csv")

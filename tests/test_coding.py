@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -56,6 +55,10 @@ class TestShannonEntropy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty input"):
             shannon_entropy("")
+
+    def test_one_symbol_is_positive_zero(self):
+        # the sum is -0.0 for one symbol; the result must not carry its sign
+        assert math.copysign(1.0, shannon_entropy("a" * 7)) == 1.0
 
     @given(TEXT)
     def test_permutation_invariance(self, s):
@@ -140,6 +143,21 @@ class TestHuffman:
 
         leaves, internal = count(res.tree)
         assert leaves == 5 and internal == 4
+
+    @given(st.one_of(TEXT, ANY_TEXT.filter(bool)))
+    def test_node_counts_add_up(self, s):
+        # a leaf holds its symbol's count, an internal node the sum of its
+        # children's, so the root holds len(s)
+        res = huffman(s)
+        assert res.tree.count == len(s)
+        stack = [res.tree]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                assert node.count == s.count(node.symbol)
+            else:
+                assert node.count == node.left.count + node.right.count
+                stack += (node.left, node.right)
 
 
 class TestRle:
@@ -374,12 +392,22 @@ class TestSymbolCounts:
         assert list(_symbol_counts(s).items()) == oracles.counter_items(s)
 
 
-class TestSymbolCountsMemo:
-    """``_symbol_counts`` remembers the last ``str`` or ``bytes`` it counted,
-    by identity, and hands the same dict to every caller."""
+class TestCountsHandedIn:
+    """A caller that has counted the payload's symbols hands the count in;
+    the results are those of the function counting them itself."""
 
     A = "abracadabra" * 40
     B = "0110100110010110" * 25
+
+    @given(st.one_of(TEXT, ANY_TEXT.filter(bool), uniform_over_many_symbols()))
+    @example("a" * 7)
+    def test_same_results_with_and_without_counts(self, s):
+        counts = _symbol_counts(s)
+        entropy = shannon_entropy(s, counts=counts)
+        assert math.copysign(1.0, entropy) == math.copysign(1.0, shannon_entropy(s))
+        assert entropy == shannon_entropy(s)
+        assert huffman(s, counts=counts) == huffman(s)
+        assert lzw_encode(s, counts=counts) == lzw_encode(s)
 
     @pytest.mark.parametrize("measure, oracle", [
         (shannon_entropy, oracles.shannon_entropy_direct),
@@ -390,41 +418,18 @@ class TestSymbolCountsMemo:
         for s in (self.A, self.B, self.A):
             assert measure(s) == oracle(s)
 
-    def test_equal_payloads_that_are_different_objects(self):
-        a, b = self.A, "".join(["abracadabra"] * 40)
-        assert a == b and a is not b
-        counts = _symbol_counts(a)
-        assert _symbol_counts(a) is counts
-        assert _symbol_counts(b) is not counts
-        assert (shannon_entropy(a), huffman(a), _lzw_fields(a)) == (shannon_entropy(b), huffman(b), _lzw_fields(b))
-
-    def test_measures_leave_the_shared_counts_as_counted(self):
+    def test_measures_leave_the_counts_as_counted(self):
         s = "".join(["mississippi"] * 30)
-        shannon_entropy(s)
-        huffman(s)
-        lzw_encode(s)
-        assert list(_symbol_counts(s).items()) == oracles.counter_items(s)
-
-    def test_list_goes_to_counter_unremembered(self):
-        _symbol_counts(self.A)
-        symbols = list("abca")
-        counts = _symbol_counts(symbols)
-        assert type(counts) is Counter and _symbol_counts(symbols) is not counts
-        assert coding._last_counted[0] is self.A
-
-    def test_at_most_one_payload_held(self):
-        a, b = "".join(["xyz"] * 50), "".join(["uvw"] * 50)
-        before = sys.getrefcount(a)
-        _symbol_counts(a)
-        assert sys.getrefcount(a) == before + 1
-        _symbol_counts(b)
-        assert sys.getrefcount(a) == before
-        assert coding._last_counted[0] is b
+        counts = _symbol_counts(s)
+        shannon_entropy(s, counts=counts)
+        huffman(s, counts=counts)
+        lzw_encode(s, counts=counts)
+        assert list(counts.items()) == oracles.counter_items(s)
 
 
-class TestUtf8Counts:
-    """``_utf8`` of the payload last counted derives its bytes' counts from
-    the string's counts; any other payload's bytes are counted as before."""
+class TestUtf8:
+    """``_utf8`` encodes a string and derives its bytes' counts from the
+    string's symbol counts."""
 
     # Latin-1, BMP and astral symbols, several sharing lead or last bytes
     SYMBOLS = "a\x00\xff\xe9\u0161\u4e2d\u4e8c\U0001f600\U0001f601\U00010061"
@@ -432,35 +437,18 @@ class TestUtf8Counts:
     @given(st.text(st.one_of(st.sampled_from(SYMBOLS), st.characters(exclude_categories=("Cs",))), max_size=80))
     @example("")
     @example("\u4e2da\U0001f600\xe9\u4e2d\U0001f601")
-    def test_derived_counts_equal_counter_of_the_bytes(self, s):
-        _symbol_counts(s)
-        with mock.patch.object(coding, "Counter", wraps=Counter) as counter:
-            b = _utf8(s)
-            derived = coding._last_counted[1]
-            got = _symbol_counts(b)
+    def test_byte_counts_in_counter_order(self, s):
+        b, byte_counts = _utf8(s, _symbol_counts(s))
         assert b == s.encode("utf-8")
-        # handed out as stored: no pass and no Counter counted b
-        assert got is derived
-        counter.assert_not_called()
-        assert list(got.items()) == oracles.counter_items(b)
-
-    def test_other_payload_bytes_counted_as_before(self):
-        other, s = "".join(["xyz"] * 20), "\u4e2d\U0001f600ab" * 30
-        _symbol_counts(other)
-        b = _utf8(s)
-        assert coding._last_counted[0] is other
-        assert b == s.encode("utf-8")
-        assert list(_symbol_counts(b).items()) == oracles.counter_items(b)
+        assert list(byte_counts.items()) == oracles.counter_items(b)
 
     @pytest.mark.parametrize("s", ["a\ud800b", "\udc00", "\U0001f600\ud83d"])
     def test_lone_surrogate_raises_as_encode_does(self, s):
         with pytest.raises(UnicodeEncodeError) as want:
             s.encode("utf-8")
-        counts = _symbol_counts(s)
         with pytest.raises(UnicodeEncodeError) as got:
-            _utf8(s)
+            _utf8(s, _symbol_counts(s))
         assert str(got.value) == str(want.value)
-        assert coding._last_counted == (s, counts)
 
 
 class TestCountingOrderKeepsValues:
