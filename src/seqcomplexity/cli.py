@@ -182,6 +182,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    if args.split and args.method == "huffman":
+        raise ValueError("--split picks an assembly pathway; it does not apply to --method huffman")
     s = args.string
     if not s:
         raise ValueError("empty input string")

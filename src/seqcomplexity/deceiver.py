@@ -36,7 +36,8 @@ __all__ = [
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 DEFAULT_MEASURES = ("entropy", "huffman", "rle", "lzw", "ma_split")
-CHAMPERNOWNE_CAP = 10**8  # longest prefix spelled; champernowne() holds all of it in memory
+# longest string a spec spells, Champernowne or modular; generate() holds all of it in memory
+CHAMPERNOWNE_CAP = 10**8
 CHAMPERNOWNE_CHUNK = 2**16  # most numbers one piece of champernowne_chunks spells
 
 
@@ -129,6 +130,9 @@ class GeneratorSpec:
                 raise ValueError("empty seed")
             if self.period < 1 or self.steps < 1:
                 raise ValueError("period and steps must be positive")
+            n = _modular_length(self)
+            if n > CHAMPERNOWNE_CAP:
+                raise ValueError(f"modular spec spells {n} characters, over the cap of {CHAMPERNOWNE_CAP}")
         self.description_bits = len(self.encode_bits())
 
     def encode_bits(self) -> str:
@@ -147,6 +151,15 @@ class GeneratorSpec:
 
     def to_json(self) -> str:
         return json.dumps({f: getattr(self, f) for f in ("kind", *_FIELDS[self.kind])}, sort_keys=True)
+
+
+def _modular_length(spec):
+    """Length of :func:`modular_generate`'s output, without spelling it."""
+    if not spec.extension_symbols:
+        return spec.steps * len(spec.seed)
+    # step i appends the module after its (i - 1) // period extensions
+    q, r = divmod(spec.steps, spec.period)
+    return spec.steps * len(spec.seed) + spec.period * q * (q - 1) // 2 + r * q
 
 
 def modular_generate(spec: GeneratorSpec) -> str:

@@ -371,3 +371,45 @@ def bdm_1d_sliced(s, entries, size, overlap=0, pad_symbol=None, surrogate=False)
         return len(block) * shannon_entropy_direct(block) + 1.0
 
     return sum(ctm(block) + math.log2(m) for block, m in mult.items())
+
+
+def run_machine(cells, blank, step_bound):
+    """Run one (2,2) rule table, ``cells[2*state + symbol]`` an action in
+    0..9, from an all-``blank`` tape; return the visited segment at halt or
+    None when the step bound is exhausted.  Actions 8 and 9 halt writing 0
+    and 1; action a < 8 writes ``a >> 2``, moves right iff bit 1 is set and
+    goes to state ``a & 1``."""
+    tape = {}
+    pos = state = 0
+    lo = hi = 0
+    for _ in range(step_bound):
+        sym = tape.get(pos, blank)
+        action = cells[2 * state + sym]
+        if action >= 8:
+            tape[pos] = action - 8
+            return "".join(str(tape.get(i, blank)) for i in range(lo, hi + 1))
+        tape[pos] = action >> 2
+        pos += 1 if (action >> 1) & 1 else -1
+        state = action & 1
+        if pos < lo:
+            lo = pos
+        elif pos > hi:
+            hi = pos
+    return None
+
+
+def ctm_2_2_entries(step_bound):
+    """The (2,2) CTM entries by brute force: each of the 10**4 rule tables
+    run alone from both blank tapes, ``-log2(count/total)`` at 12
+    significant digits, in (length, block) order."""
+    counts = Counter()
+    for cells in product(range(10), repeat=4):
+        for blank in (0, 1):
+            out = run_machine(cells, blank, step_bound)
+            if out is not None:
+                counts[out] += 1
+    total = sum(counts.values())
+    return {
+        block: float(f"{-math.log2(c / total):.12g}")
+        for block, c in sorted(counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    }

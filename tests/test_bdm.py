@@ -82,9 +82,18 @@ class TestCtmEnumerate:
         for m in range(10**4):
             cells = [m // 10**k % 10 for k in range(4)]
             for blank in (0, 1):
-                assert bdm._run_machine(cells, blank, 200) == bdm._run_machine(
+                assert oracles.run_machine(cells, blank, 200) == oracles.run_machine(
                     cells, blank, bdm._MIN_STEP_BOUND
                 )
+
+    @pytest.mark.parametrize("bound", [6, 30, 10**9])
+    def test_equals_brute_force(self, bound):
+        # the brute force runs each table alone, for at most the 200 steps
+        # of the premise test above
+        table = ctm_enumerate(2, 2, bound)
+        expected = oracles.ctm_2_2_entries(min(bound, 200))
+        assert list(table.entries.items()) == list(expected.items())
+        assert table.provenance == f"enumerated (2,2), {bound}-step bound"
 
     def test_provenance(self, enumerated):
         assert enumerated.provenance == "enumerated (2,2), 30-step bound"
@@ -395,6 +404,20 @@ class TestBdm2d:
         # padded to 6x6: nine identical zero blocks
         assert v == pytest.approx(4.0 + math.log2(9), abs=1e-12)
 
+    def test_single_row_padded(self):
+        # one row fills one block row: padding adds columns and no row
+        table = CtmTable(dimension=2, entries={(1, 2, "01"): 1.0, (1, 2, "10"): 2.0})
+        params = BdmParams(block_shape=(1, 2), pad_symbol="0")
+        assert bdm_2d([[0, 1, 1]], table, params) == 3.0
+
+    def test_toy_2d_values(self):
+        uniform, alternating = {"0000", "1111"}, {"0101", "1010"}
+        expected = {
+            (2, 2, b): 4.0 if b in uniform else 5.0 if b in alternating else 4.5
+            for b in (format(v, "04b") for v in range(16))
+        }
+        assert toy_table_2d().entries == expected
+
     def test_matrix_smaller_than_block(self):
         with pytest.raises(ValueError, match="smaller than block shape"):
             bdm_2d(np.zeros((1, 4), int), toy_table_2d())
@@ -607,6 +630,11 @@ class TestValidation:
         params = BdmParams()
         assert (params.block_size, params.block_shape, params.overlap) == (2, (2, 2), 0)
         assert bdm_1d("0110", toy_table_1d(), None) == bdm_1d("0110", toy_table_1d(), params)
+
+    def test_list_block_shape_stored_as_tuple(self):
+        params = BdmParams(block_shape=[2, 2])
+        assert params.block_shape == (2, 2) and isinstance(params.block_shape, tuple)
+        assert params == BdmParams() and hash(params) == hash(BdmParams())
 
     @pytest.mark.parametrize("kwargs", [{"block_size": 0}, {"block_shape": (0, 1)}, {"block_shape": (2, -1)}])
     def test_non_positive_partition_rejected(self, kwargs):

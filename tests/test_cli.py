@@ -357,6 +357,14 @@ class TestTree:
     def test_empty_string_exits_2(self, tmp_path):
         assert main(["tree", "--string", "", "--out", str(tmp_path / "t.dot")]) == 2
 
+    def test_split_with_huffman_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "t.dot"
+        assert main(["tree", "--string", "ABRACADABRA", "--method", "huffman", "--split", "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --split picks an assembly pathway; it does not apply to --method huffman\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["assembly", "huffman"])
     def test_non_utf8_string_exits_2(self, tmp_path, capsys, method):
         # a non-UTF-8 argument reaches sys.argv with lone surrogates
@@ -992,6 +1000,11 @@ class TestGoldenOutputs:
         assert _sha256(out) == "d1537d5f04b2e28d0173cad7a51499b3c87f48fac28574876f1a03a19ac146d3"
         stdout = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(stdout).hexdigest() == "d1537d5f04b2e28d0173cad7a51499b3c87f48fac28574876f1a03a19ac146d3"
+
+    def test_ctm_gen(self, tmp_path):
+        out = str(tmp_path / "ctm.csv")
+        assert main(["ctm-gen", "--out", out]) == 0
+        assert _sha256(out) == "ff4841e0ca5d9f8873e80048e9bc7e4c9393c3e0da610c6fce7ea54f3491c117"
 
     @pytest.mark.parametrize("flags, digest", [
         (

@@ -138,16 +138,38 @@ class TestModular:
         st.text(alphabet="AB", min_size=1, max_size=3),
         st.integers(1, 5),
         st.integers(1, 30),
+        st.sampled_from([(), ("C",), ("C", "D")]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_output_length_formula(self, seed, period, steps):
+    def test_output_length_formula(self, seed, period, steps, ext):
         spec = GeneratorSpec(
             kind="modular", seed=seed, period=period, steps=steps,
-            extension_symbols=("C",),
+            extension_symbols=ext,
         )
         out = modular_generate(spec)
-        expected = sum(len(seed) + (i - 1) // period for i in range(1, steps + 1))
-        assert len(out) == expected
+        grown = sum((i - 1) // period for i in range(1, steps + 1)) if ext else 0
+        assert len(out) == deceiver._modular_length(spec) == steps * len(seed) + grown
+
+    # each pair is the longest spec under the cap and the next step past it;
+    # the specs are only made, never spelled
+    @pytest.mark.parametrize("seed, period, steps, ext, spelled", [
+        ("ab", 1, 5 * 10**7, (), 10**8),
+        ("ab", 1, 5 * 10**7 + 1, (), 10**8 + 2),
+        ("AB", 1, 14140, ("C",), 99_991_010),
+        ("AB", 1, 14141, ("C",), 100_005_152),
+        ("A", 3, 24493, ("B",), 99_996_755),
+        ("A", 3, 24494, ("B",), 100_004_920),
+        ("AB", 1, 10**9, ("C",), 500_000_001_500_000_000),
+    ])
+    def test_output_capped(self, seed, period, steps, ext, spelled):
+        def make():
+            return GeneratorSpec(kind="modular", seed=seed, period=period, steps=steps, extension_symbols=ext)
+        if spelled <= CHAMPERNOWNE_CAP:
+            assert deceiver._modular_length(make()) == spelled
+        else:
+            message = f"^modular spec spells {spelled} characters, over the cap of {CHAMPERNOWNE_CAP}$"
+            with pytest.raises(ValueError, match=message):
+                make()
 
 
 class TestGeneratorSpec:
