@@ -30,10 +30,11 @@ __all__ = [
     "toy_table_2d",
 ]
 
-# (2,2) machines halt by one of two dedicated actions that write a symbol
-# in place; every ordinary action writes, moves, and switches state, which
-# gives (4*states + 2) actions per table cell.
-_ACTIONS = 10  # 4*states + 2 at states = 2
+# A (2,2) rule table has one cell per (state, read symbol).  Each cell holds
+# one of 2 symbols x 2 moves x 2 next states = 8 ordinary actions or one of
+# two dedicated halts that write a symbol in place.
+_CELLS = 4
+_ACTIONS = 10
 _HALT_WRITE_0 = 8  # 9 halts writing 1
 _MIN_STEP_BOUND = 6  # maximum steps a halting (2,2) machine actually needs
 _CTM_HEADERS = {1: ["block", "ctm_bits"], 2: ["rows", "cols", "block", "ctm_bits"]}
@@ -154,14 +155,14 @@ def _tally(cells, blank, tape, pos, state, steps, counts):
 def ctm_enumerate(states: int, symbols: int, step_bound: int) -> CtmTable:
     """Exhaustive CTM table for the (2,2) rule space.
 
-    All ``(4*states+2)**(2*states)`` rule tables are counted from both
-    uniform tapes (all-0 and all-1); using the two blank conventions makes
-    the halting-output distribution exactly closed under symbol complement,
-    to match the left/right mirror closure that direction reversal already
-    provides.  ``ctm(block) = -log2(count/total_halting)``, rounded to 12
-    significant digits.  No (2,2) machine halts after ``_MIN_STEP_BOUND``
-    steps, so each is run for at most that many and every ``step_bound``
-    at or above it gives the same table.
+    All ``10**4`` rule tables are counted from both uniform tapes (all-0
+    and all-1); using the two blank conventions makes the halting-output
+    distribution exactly closed under symbol complement, to match the
+    left/right mirror closure that direction reversal already provides.
+    ``ctm(block) = -log2(count/total_halting)``, rounded to 12 significant
+    digits.  No (2,2) machine halts after ``_MIN_STEP_BOUND`` steps, so
+    each is run for at most that many and every ``step_bound`` at or above
+    it gives the same table.
 
     Runs are grouped by the cells they read, as in Brady's tree normal form
     (Math. Comp. 40(162), 1983): a cell's action is chosen only when a run
@@ -177,7 +178,7 @@ def ctm_enumerate(states: int, symbols: int, step_bound: int) -> CtmTable:
 
     counts = Counter()
     for blank in (0, 1):
-        _tally([None] * (2 * states), blank, {}, 0, 0, _MIN_STEP_BOUND, counts)
+        _tally([None] * _CELLS, blank, {}, 0, 0, _MIN_STEP_BOUND, counts)
     total = sum(counts.values())
 
     entries = {

@@ -12,9 +12,10 @@ selection", IEEE Computer 11(4), 1978: flip a comparison (``<`` and ``>=``,
 included), or add 1 to an int constant.  Each mutant is written into a copy
 of ``src/`` and ``tests/`` in a temporary directory, so the checkout is never
 changed, and the tests stop at their first failure.  A mutant survives when
-every test passes; a run past ``--timeout`` seconds counts as killed.  The
-probe prints each survivor with its line, then the totals.  It makes one
-pytest run per mutant, which is why the test suite does not run it.
+every test passes; a run past ``TIMEOUT_S`` seconds (a mutant that loops
+forever) counts as killed.  The probe prints each survivor with its line,
+then the totals.  It makes one pytest run per mutant, which is why the test
+suite does not run it.
 """
 
 import argparse
@@ -26,6 +27,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TIMEOUT_S = 120
 FLIP = {
     ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Eq: ast.NotEq,
     ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
@@ -66,11 +68,13 @@ def mutate(source, k, i):
     return ast.unparse(tree), f"line {node.lineno}: {change}"
 
 
-def passes(workdir, tests, timeout):
+def passes(workdir, tests):
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
-    env = dict(os.environ, PYTHONPATH=os.path.join(workdir, "src"))
+    # every mutant rewrites the same file, often at the same size within one
+    # second, which a cached .pyc cannot tell from the mutant before it
+    env = dict(os.environ, PYTHONPATH=os.path.join(workdir, "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
-        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=timeout)
+        proc = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False
     return proc.returncode == 0
@@ -80,7 +84,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("module", help="path of the module to mutate, relative to the repository root")
     ap.add_argument("tests", nargs="+", help="test files to run against each mutant")
-    ap.add_argument("--timeout", type=float, default=120.0)
     args = ap.parse_args()
     with open(os.path.join(ROOT, args.module), encoding="utf-8") as fh:
         source = fh.read()
@@ -89,7 +92,7 @@ def main():
             copy = shutil.copytree if os.path.isdir(os.path.join(ROOT, name)) else shutil.copy
             copy(os.path.join(ROOT, name), os.path.join(workdir, name))
         target = os.path.join(workdir, args.module)
-        if not passes(workdir, args.tests, args.timeout):
+        if not passes(workdir, args.tests):
             sys.exit("the tests fail on the unchanged module")
         survivors = []
         todo = list(sites(ast.parse(source)))
@@ -97,7 +100,7 @@ def main():
             mutant, change = mutate(source, k, i)
             with open(target, "w", encoding="utf-8") as fh:
                 fh.write(mutant)
-            if passes(workdir, args.tests, args.timeout):
+            if passes(workdir, args.tests):
                 survivors.append(change)
                 print("survived", change, flush=True)
         print(f"{len(todo)} mutants, {len(todo) - len(survivors)} killed, {len(survivors)} survived")
