@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import stat
 from collections import Counter
 from dataclasses import dataclass
 
@@ -92,16 +93,33 @@ def _finite(cell, what) -> float:
     return x
 
 
+def _overwrite(path, write) -> None:
+    """Call ``write(fh)`` on ``path`` opened for UTF-8 text with no newline
+    translation, then cut a regular file to the bytes written.
+
+    The file is opened without ``O_TRUNC``: on ext4 (``auto_da_alloc``) an
+    open that truncates a file closed a moment before waits for that
+    file's writeback.  The cut runs even when ``write`` raises, so no tail
+    of the old file is left; a non-regular target such as ``os.devnull``
+    cannot be cut and is not."""
+    with open(
+        path, "w", encoding="utf-8", newline="", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)
+    ) as fh:
+        try:
+            write(fh)
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def write_csv(path, rows) -> None:
     """Write ``rows`` to ``path`` as UTF-8 in the csv module's default dialect."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    _overwrite(path, lambda fh: csv.writer(fh).writerows(rows))
 
 
 def write_text(path, text) -> None:
     """Write ``text`` to ``path`` as UTF-8, with no newline translation."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _overwrite(path, lambda fh: fh.write(text))
 
 
 def text_to_bits(s: str) -> str:

@@ -44,7 +44,8 @@ def test_ctm_tables_and_matrices_written_through_write_csv():
 
 def _callers(name, *args):
     """``(file, function)`` of every function in the package that calls
-    ``name``, with the constants ``args`` as its first arguments if given."""
+    ``name``, with the constants ``args`` as its first arguments if given;
+    an ``...`` in ``args`` matches any argument."""
     package = Path(seqcomplexity.__file__).parent
     return {
         (path.name, fn.name)
@@ -53,8 +54,19 @@ def _callers(name, *args):
         if isinstance(fn, ast.FunctionDef)
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
-        and [getattr(arg, "value", None) for arg in node.args[: len(args)]] == list(args)
+        and len(node.args) >= len(args)
+        and all(want is ... or getattr(arg, "value", None) == want for arg, want in zip(node.args, args))
     }
+
+
+def test_only_overwrite_opens_a_file_for_writing():
+    """``ingest._overwrite`` is the one place a file is opened for writing
+    (with ``os.open``, or ``open`` in mode ``"w"``), so no writer can
+    truncate its target on open; the one other opener, the CSV reader,
+    reads."""
+    assert _callers("open") == {("ingest.py", "_csv_rows"), ("ingest.py", "_overwrite")}
+    assert _callers("open", ..., "r") == {("ingest.py", "_csv_rows")}
+    assert _callers("open", ..., "w") == {("ingest.py", "_overwrite")}
 
 
 def test_only_evaluate_spells_a_payload_in_bits():

@@ -1,5 +1,8 @@
+import csv
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -12,10 +15,15 @@ from seqcomplexity.ingest import (
     load_results,
     save_matrix_csv,
     text_to_bits,
+    write_csv,
     write_results,
+    write_text,
 )
+from seqcomplexity.cli import main
 
 import oracles
+
+CORPUS = os.path.join(os.path.dirname(__file__), "data", "synthetic_corpus.csv")
 
 
 class TestTextToBits:
@@ -185,3 +193,107 @@ class TestDatasetIo:
         path.write_text("1,2\n3\n")
         with pytest.raises(ValueError, match="ragged"):
             load_matrix_csv(path)
+
+    def test_one_row_matrix_round_trip(self, tmp_path):
+        path = tmp_path / "m.csv"
+        save_matrix_csv([[1, 2.5]], path)
+        assert path.read_bytes() == b"1,2.5\r\n"
+        assert load_matrix_csv(path) == [[1.0, 2.5]]
+
+    def test_row_of_two_cells_with_blank_first_is_read(self, tmp_path):
+        # only a line whose one cell is blank is skipped; ",3" is a row
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n\n  \n,3\n")
+        with pytest.raises(ValueError, match="^line 4: non-numeric entry ''$"):
+            load_matrix_csv(path)
+
+    def test_empty_file_header_is_line_1(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="^line 1: header lacks id, category, payload_kind, payload, reference_value$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("column", ["id", "metadata"])
+    def test_header_naming_a_column_twice_names_it_and_its_line(self, tmp_path, column):
+        path = tmp_path / "res.csv"
+        path.write_text(f"\nid,category,measure,value,metadata,{column}\nm1,a,e,1,x,y\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^line 2: header names '{column}' twice$"):
+            load_results(path)
+
+    def test_repeated_results_row_named(self, tmp_path):
+        path = tmp_path / "res.csv"
+        path.write_text("id,category,measure,value,metadata\nm1,a,e,1,x\nm1,a,h,2,x\nm1,a,e,3,x\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^row 'm1': measure 'e' repeated$"):
+            load_results(path)
+
+
+# each writer with a payload and the bytes it writes
+WRITERS = [
+    pytest.param(write_csv, [["a", "b,c"], ["d"]], b'a,"b,c"\r\nd\r\n', id="write_csv"),
+    pytest.param(write_text, "a\nb\r\n", b"a\nb\r\n", id="write_text"),
+]
+
+
+class TestWriters:
+    """Both writers overwrite the target in place and cut it to the bytes
+    written, leaving what ``open(path, "w")`` would."""
+
+    @pytest.mark.parametrize("write, payload, expected", WRITERS)
+    def test_shorter_rewrite_leaves_only_new_bytes_in_same_inode(self, tmp_path, write, payload, expected):
+        path = tmp_path / "out"
+        path.write_bytes(b"old tail " * 1000)
+        inode = path.stat().st_ino
+        write(path, payload)
+        assert path.read_bytes() == expected
+        assert path.stat().st_ino == inode
+
+    @pytest.mark.parametrize("write, payload, expected", WRITERS)
+    def test_target_opened_without_o_trunc(self, tmp_path, monkeypatch, write, payload, expected):
+        # on ext4 an O_TRUNC open of a file closed a moment before waits for its writeback
+        flags = []
+        real_open = os.open
+        monkeypatch.setattr(os, "open", lambda path, flag, mode=0o777: flags.append(flag) or real_open(path, flag, mode))
+        write(tmp_path / "out", payload)
+        assert len(flags) == 1 and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+
+    @pytest.mark.parametrize("umask", [0o000, 0o022])
+    @pytest.mark.parametrize("write, payload, expected", WRITERS)
+    def test_new_file_mode_is_0o666_under_umask(self, tmp_path, write, payload, expected, umask):
+        old = os.umask(umask)
+        try:
+            write(tmp_path / "out", payload)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize(
+        "write, payload, reference",
+        [
+            (write_csv, [["ok"], ["\udc80"], ["never"]], lambda fh, rows: csv.writer(fh).writerows(rows)),
+            (write_text, "ok\udc80", lambda fh, text: fh.write(text)),
+        ],
+        ids=["write_csv", "write_text"],
+    )
+    def test_unencodable_payload_leaves_what_a_truncating_open_leaves(self, tmp_path, write, payload, reference):
+        path, ref = tmp_path / "out", tmp_path / "ref"
+        for target in (path, ref):
+            target.write_bytes(b"old tail " * 1000)
+        with pytest.raises(UnicodeEncodeError):
+            write(path, payload)
+        with pytest.raises(UnicodeEncodeError), open(ref, "w", encoding="utf-8", newline="") as fh:
+            reference(fh, payload)
+        assert path.read_bytes() == ref.read_bytes()
+        assert b"old" not in path.read_bytes()
+
+    @pytest.mark.parametrize("write, payload, expected", WRITERS)
+    def test_devnull_is_written_without_a_cut(self, write, payload, expected):
+        write(os.devnull, payload)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["measure", "--input", CORPUS, "--measures", "entropy"], ["tree", "--string", "abab"]],
+        ids=["write_csv", "write_text"],
+    )
+    def test_directory_out_exits_1(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
